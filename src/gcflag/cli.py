@@ -196,14 +196,11 @@ def _det_check(poly):
 
     for vertex, active in poly.vertices():
         for sel in combinations(sorted(active), poly.N):
-            if not pl.selection_is_loop_free(poly, sel):
-                continue
-            rows = [[Fraction(c) for c in poly.facets[j].v] for j in sel]
-            from .exactla import det, rank
-
-            if rank(rows) < poly.N:
-                continue
-            if abs(det(rows)) != 1:
+            try:
+                d = pl.simplicial_cone_determinant(poly, vertex, sel)
+            except (pl.LoopError, pl.RankDeficientError):
+                continue  # no simplicial cone to check
+            if abs(d) != 1:
                 return False
     return True
 

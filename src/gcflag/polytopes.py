@@ -12,6 +12,7 @@ vertex candidates, every reported vertex is verified exactly).
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -156,12 +157,15 @@ class GCPolytope:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.N,):
             raise ValueError("dimension mismatch")
-        A, b = self.halfspace_arrays()
+        A, b = self.halfspace_arrays
         return bool(np.all(A @ u - b >= -tol))
 
+    @cached_property
     def halfspace_arrays(self):
+        """(A, b) with the polytope = {u : A u >= b}, as read-only float arrays."""
         A = np.array([f.v for f in self.facets], dtype=float)
         b = np.array([float(f.tau) for f in self.facets])
+        A.flags.writeable = b.flags.writeable = False
         return A, b
 
     def interior_point(self):
@@ -174,10 +178,11 @@ class GCPolytope:
 
     def vertices(self):
         """All vertices with their active facet index sets, canonically sorted."""
-        if not hasattr(self, "_verts"):
-            ineqs = [(f.v, f.tau) for f in self.facets]
-            object.__setattr__(self, "_verts", _vertices_of(ineqs, self.N))
-        return self._verts
+        return self._vertices
+
+    @cached_property
+    def _vertices(self):
+        return _vertices_of([(f.v, f.tau) for f in self.facets], self.N)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +457,46 @@ def volume(poly):
 
 
 def interior_lattice_points(poly):
-    return [p for p in lattice_points(poly) if poly.contains(p, strict=True)]
+    """Lattice points strictly inside every facet, in sorted order.
+
+    For integral lambda every tau is an integer, so <v, p> > tau is decided
+    on Python ints, one pass over the facets per point.
+    """
+    facets = [(f.v, int(f.tau)) for f in poly.facets]
+    out = []
+    for p in lattice_points(poly):
+        q = [int(x) for x in p]
+        if all(sum(c * x for c, x in zip(v, q)) > tau for v, tau in facets):
+            out.append(p)
+    return out
 
 
 def is_reflexive(poly):
-    """(True, translation) if the polytope is reflexive after translating the
-    unique interior lattice point to the origin; (False, None) otherwise."""
+    """(True, p) if the polytope is reflexive after translating p to the
+    origin; (False, None) otherwise.
+
+    Reflexive means one interior lattice point p with every facet at lattice
+    distance 1 from it: ell_f(p) = 1 for all f.  This is decided from the
+    facets alone.  N facets with independent normals fix the only candidate,
+    ell_f(p) = 1 on those N; the polytope is reflexive iff p is integral and
+    ell_f(p) = 1 holds for every facet.  Such a p is interior, and it is the
+    only interior lattice point: ell_f takes integer values on lattice
+    points, so an interior lattice point q has ell_f(q) >= 1 = ell_f(p) for
+    every f, which puts q - p in the recession cone of a bounded polytope,
+    {0}.
+    """
     if any(x.denominator != 1 for x in poly.lam):
         raise ValueError("reflexivity requires integral lambda")
-    interior = interior_lattice_points(poly)
-    if len(interior) != 1:
-        return False, None
-    p = interior[0]
+    rows, rhs = [], []
     for f in poly.facets:
-        shifted = f.tau - sum(Fraction(c) * x for c, x in zip(f.v, p))
-        if shifted != -1:
-            return False, None
+        if len(rows) < poly.N and rank(rows + [f.v]) > len(rows):
+            rows.append(f.v)
+            rhs.append(f.tau + 1)
+    if len(rows) < poly.N:
+        raise ValueError("polytope is not full-dimensional")
+    p = solve(rows, rhs)
+    if any(x.denominator != 1 for x in p) or any(f.ell(p) != 1 for f in poly.facets):
+        return False, None
     return True, p
 
 
@@ -496,6 +525,10 @@ def dual_volume(poly):
 
 class LoopError(ValueError):
     """The selected equality set contains a loop in the pattern graph."""
+
+
+class RankDeficientError(ValueError):
+    """The selected facet normals do not span R^N."""
 
 
 def _facet_node(poly, pos):
@@ -538,7 +571,7 @@ def simplicial_cone_determinant(poly, vertex, facet_indices):
         raise LoopError("equality set contains a loop")
     rows = [[Fraction(c) for c in poly.facets[j].v] for j in facet_indices]
     if rank(rows) < poly.N:
-        raise ValueError("ray selection is rank-deficient")
+        raise RankDeficientError("ray selection is rank-deficient")
     return det(rows)
 
 

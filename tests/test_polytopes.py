@@ -158,6 +158,14 @@ def test_pattern_roundtrip():
     assert not poly.contains_float([2.1, 0.0, 0.0])
 
 
+def test_halfspace_arrays_cached_read_only():
+    poly = build_polytope(F3, [2, 0, -2])
+    A, b = poly.halfspace_arrays
+    assert poly.halfspace_arrays[0] is A and poly.halfspace_arrays[1] is b
+    with pytest.raises(ValueError):
+        A[0, 0] = 5.0
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_random_interlacing_patterns_are_contained(seed):
@@ -283,6 +291,53 @@ def test_not_reflexive():
     ok, p = is_reflexive(poly)
     assert not ok and p is None
     assert interior_lattice_points(poly) == []
+
+
+def reflexive_by_scan(poly):
+    """Reference: one interior lattice point, every facet at distance 1 from it."""
+    interior = interior_lattice_points(poly)
+    if len(interior) != 1 or any(f.ell(interior[0]) != 1 for f in poly.facets):
+        return False, None
+    return True, interior[0]
+
+
+# the gc polytope ladder with integral lambda, a translate of an anticanonical
+# lambda, and non-reflexive weights (1,3|5 has pinned entries)
+@pytest.mark.parametrize(
+    "flag,lam,reflexive",
+    [
+        ("1,2|3", (2, 0, -2), True),
+        ("2|4", (2, 2, -2, -2), True),
+        ("2|4", (4, 4, 0, 0), True),
+        ("2|4", (1, 1, -1, -1), False),
+        ("1,2,3|4", (3, 1, -1, -3), True),
+        ("1,2,3|4", (6, 3, -1, -5), False),
+        ("2|5", (3, 3, -2, -2, -2), True),
+        ("1,3|5", (4, 1, 1, -3, -3), True),
+        ("1,3|5", (3, 1, 1, -2, -2), False),
+        ("3|6", (3, 3, 3, -3, -3, -3), True),
+    ],
+)
+def test_is_reflexive_matches_scan(flag, lam, reflexive):
+    poly = build_polytope(FlagType.parse(flag), lam)
+    got = is_reflexive(poly)
+    assert got == reflexive_by_scan(poly)
+    assert got[0] == reflexive
+
+
+@pytest.mark.parametrize(
+    "flag,lam",
+    [
+        ("1,2|3", (4, 1, -2)),
+        ("2|4", (4, 4, 0, 0)),
+        ("1,2,3|4", (4, 2, 0, -3)),
+        ("1,3|5", (3, 1, 1, -2, -2)),
+    ],
+)
+def test_interior_lattice_points_match_exact_contains(flag, lam):
+    poly = build_polytope(FlagType.parse(flag), lam)
+    want = [p for p in lattice_points(poly) if poly.contains(p, strict=True)]
+    assert interior_lattice_points(poly) == want
 
 
 # ---------------------------------------------------------------------------
