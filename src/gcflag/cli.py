@@ -246,6 +246,15 @@ def _suite_degeneration(args):
     return checks
 
 
+def _uniform_point(poly, seed):
+    """A uniform random point of the polytope: the GC map of a Haar-random
+    orbit point.  The GC map pushes the Liouville (Haar) measure of the orbit
+    forward to Lebesgue measure on the polytope (Guillemin-Sternberg 1983;
+    Baryshnikov, Probab. Theory Relat. Fields 119 (2001))."""
+    x = sy.random_orbit_point([float(v) for v in poly.lam], seed=seed)
+    return sy.gc_map(x, poly)
+
+
 def _suite_system(args):
     checks = []
     cases = [
@@ -258,21 +267,14 @@ def _suite_system(args):
         worst = -1.0
         inside = True
         for s in range(args.samples):
-            x = sy.random_orbit_point([float(v) for v in lam], seed=s)
-            u = sy.gc_map(x, poly)
+            u = _uniform_point(poly, s)
             if not poly.contains_float(u, tol=1e-9):
                 inside = False
         checks.append(
             {"name": "gc_map containment %s" % flag, "passed": inside, "residual": 0.0 if inside else 1.0}
         )
-        rng = np.random.default_rng(args.seed)
-        lo = min(float(v) for v in lam)
-        hi = max(float(v) for v in lam)
-        for _ in range(50):
-            while True:
-                cand = rng.uniform(lo, hi, poly.N)
-                if poly.contains_float(cand, 0.0):
-                    break
+        for t in range(50):
+            cand = _uniform_point(poly, (args.seed, t))
             y = sy.fiber_point(poly, cand)
             worst = max(worst, float(np.abs(sy.gc_map(y, poly) - cand).max()))
         checks.append(
@@ -293,14 +295,8 @@ def _suite_toda(args):
         pot = pt.build_potential(poly)
         worst = 0.0
         for s in range(args.samples):
-            r2 = np.random.default_rng(s)
-            lo = min(float(v) for v in lam)
-            hi = max(float(v) for v in lam)
-            while True:
-                u = r2.uniform(lo, hi, pot.N)
-                if poly.contains_float(u, -1e-9):
-                    break
-            x = r2.standard_normal(pot.N)
+            u = _uniform_point(poly, s)
+            x = np.random.default_rng(s).standard_normal(pot.N)
             lhs = 0.0
             for v, _, tau in pot.terms:
                 lhs += np.exp(np.dot(v, x) - (np.dot(v, u) - float(tau)))

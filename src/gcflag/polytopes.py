@@ -5,21 +5,22 @@ ladder-diagram box (equivalently, per non-constant entry of the triangular
 interlacing pattern).  All arithmetic in this module is exact over the
 rationals: facet irredundancy, vertex enumeration, volumes, reflexivity and
 the unimodularity check for simplicial cones are integer/rational statements
-and are decided without floating point (floats are used only to prefilter
-vertex candidates, every reported vertex is verified exactly).
+and are decided without floating point.  Vertices are read off the
+interlacing patterns with entries in lambda (GCPolytope.vertices), by
+comparing pattern entries and a union-find over them.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import product
 from math import factorial
 
 import numpy as np
 
 from .exactla import affine_dim, det, rank, solve, to_fraction
-from .flags import FlagType, dimension
+from .flags import FlagType
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +178,75 @@ class GCPolytope:
     # -- vertices (cached) ------------------------------------------------
 
     def vertices(self):
-        """All vertices with their active facet index sets, canonically sorted."""
+        """All vertices with their active facet index sets, canonically sorted.
+
+        Every vertex is an interlacing pattern whose entries are lambda
+        values (De Loera & McAllister, Vertices of Gelfand-Tsetlin
+        polytopes, Discrete Comput. Geom. 32 (2004)), so the candidates are
+        the patterns filled from lambda's distinct values.  Facet j is tight
+        at a pattern iff the two entries of facets[j].pair are equal.  A
+        point is a vertex iff its tight normals have rank N.  They form a
+        network matrix: e_a - e_b joins two free entries and +-e_a joins a
+        free entry to a lambda value (a pinned entry or row n), so it is the
+        incidence matrix of a graph on the free entries plus one ground node
+        for all lambda values.  Its rank is N minus the number of components
+        without a lambda node, so the pattern is a vertex iff the tight
+        facets join every free entry to a lambda value (a union-find, _join).
+        No arithmetic is needed.
+        """
         return self._vertices
 
     @cached_property
     def _vertices(self):
-        return _vertices_of([(f.v, f.tau) for f in self.facets], self.N)
+        values = sorted(set(self.lam))
+        pairs = [tuple(_cell(self.flag, pos) for pos in f.pair) for f in self.facets]
+        at = [_cell(self.flag, pos) for pos in self.coords]
+        lambda_nodes = [("val", b) for b in range(1, self.flag.r + 2)]
+        free_nodes = [_facet_node(self, pos) for pos in self.coords]
+        out = []
+        for rows in _patterns(self.lam, lambda lo, hi: [x for x in values if lo <= x <= hi]):
+            tight = [
+                j for j, ((a, b), (c, e)) in enumerate(pairs) if rows[a][b] == rows[c][e]
+            ]
+            find, _ = _join(self._facet_ends[j] for j in tight)
+            grounded = {find(x) for x in lambda_nodes}
+            if all(find(x) in grounded for x in free_nodes):
+                out.append((tuple(rows[a][b] for a, b in at), frozenset(tight)))
+        return sorted(out, key=lambda vertex: vertex[0])
+
+    @cached_property
+    def _facet_ends(self):
+        """The two pattern-entry nodes joined by each facet's equality."""
+        return tuple(tuple(_facet_node(self, pos) for pos in f.pair) for f in self.facets)
+
+
+# ---------------------------------------------------------------------------
+# interlacing patterns
+
+
+def _patterns(top, choices):
+    """Every interlacing pattern with top row `top`, as a tuple of rows.
+
+    Rows run top-down (row k is rows[n - k], see _cell); entry i of a row
+    ranges over choices(lo, hi), lo and hi being its two upper neighbours,
+    independently of the other entries of its row.
+    """
+
+    def below(rows):
+        upper = rows[-1]
+        if len(upper) == 1:
+            yield rows
+            return
+        for row in product(*(choices(lo, hi) for hi, lo in zip(upper, upper[1:]))):
+            yield from below(rows + (row,))
+
+    return below((tuple(top),))
+
+
+def _cell(flag, pos):
+    """Index (row, column) of pattern position (k, i) in a _patterns tuple."""
+    k, i = pos
+    return flag.n - k, i - 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +257,10 @@ def build_polytope(flag, lam, coords=None):
     """Build the irredundant facet description of the Gelfand-Cetlin polytope.
 
     One inequality is generated per adjacent pattern pair; constant-constant
-    pairs are dropped and inequalities whose face is not (N-1)-dimensional
-    are removed (decided exactly via vertex enumeration).
+    pairs are dropped.  Candidate j is kept iff its face is (N-1)-dimensional:
+    the normals tight at every vertex of the face are its implicit
+    equalities, so j is a facet iff those normals have rank 1.  The vertices
+    are those of the polytope cut out by all candidates.
     """
     lam = validate_lambda(flag, lam)
     default_coords = free_positions(flag)
@@ -242,69 +308,14 @@ def build_polytope(flag, lam, coords=None):
                     Facet(v=tuple(v), tau=tau, tau_blocks=tau_blocks, pair=(upper, lower))
                 )
 
-    verts = _vertices_of([(f.v, f.tau) for f in candidates], N)
+    provisional = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(candidates))
+    verts = provisional.vertices()
     facets = []
     for j, f in enumerate(candidates):
-        on_face = [v for v, act in verts if j in act]
-        if affine_dim(on_face) == N - 1:
+        on_face = [act for _, act in verts if j in act]
+        if on_face and rank([candidates[i].v for i in frozenset.intersection(*on_face)]) == 1:
             facets.append(f)
-    poly = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(facets))
-    return poly
-
-
-# ---------------------------------------------------------------------------
-# vertex enumeration (brute force over facet subsets, float-prefiltered)
-
-
-def _vertices_of(ineqs, N):
-    """Vertices of {u : <v,u> >= tau for all (v, tau)} with active index sets.
-
-    Brute force over N-subsets: floats select candidate basic solutions,
-    each surviving candidate is re-solved and feasibility-checked exactly.
-    """
-    m = len(ineqs)
-    if m < N:
-        raise ValueError("not enough inequalities for a vertex")
-    A = np.array([v for v, _ in ineqs], dtype=float)
-    b = np.array([float(t) for _, t in ineqs])
-    subsets = list(combinations(range(m), N))
-    idx = np.array(subsets)
-    As = A[idx]  # (S, N, N)
-    bs = b[idx]  # (S, N)
-    dets = np.linalg.det(As)
-    ok = np.abs(dets) > 1e-9
-    sol = np.full((len(subsets), N), np.nan)
-    if ok.any():
-        sol[ok] = np.linalg.solve(As[ok], bs[ok][..., None])[..., 0]
-    scale = 1.0 + np.abs(b).max() + np.abs(sol[ok]).max() if ok.any() else 1.0
-    feas = ok & np.all(sol @ A.T - b[None, :] >= -1e-7 * scale, axis=1)
-
-    # group candidate subsets by the rounded float solution, so that a
-    # degenerate vertex (many active facets) costs one exact solve, not
-    # one per basis choice
-    groups = {}
-    for s in np.nonzero(feas)[0]:
-        key = tuple(np.round(sol[s], 6))
-        groups.setdefault(key, []).append(subsets[s])
-
-    found = {}
-    for subs in groups.values():
-        for sub in subs:
-            rows = [[Fraction(x) for x in ineqs[j][0]] for j in sub]
-            rhs = [ineqs[j][1] for j in sub]
-            pt = solve(rows, rhs)
-            if pt is None:
-                continue
-            if pt in found:
-                break
-            vals = [
-                sum(Fraction(c) * x for c, x in zip(v, pt)) - t for v, t in ineqs
-            ]
-            if any(val < 0 for val in vals):
-                break
-            found[pt] = frozenset(j for j, val in enumerate(vals) if val == 0)
-            break
-    return sorted(found.items())
+    return GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(facets))
 
 
 # ---------------------------------------------------------------------------
@@ -331,39 +342,20 @@ def weyl_dimension(lam):
 def lattice_points(poly):
     """All integral patterns, as coordinate vectors, in sorted order.
 
-    Rows are filled top-down; each entry ranges over the integers between
-    its two upper neighbours, which enumerates exactly the interlacing
-    patterns with top row lambda.
+    Each entry ranges over the integers between its two upper neighbours
+    (_patterns); points are sorted as ints and made Fractions once per value.
     """
     lam = poly.lam
     if any(x.denominator != 1 for x in lam):
         raise ValueError("lattice enumeration requires integral lambda")
-    n = poly.flag.n
-    points = []
-
-    def fill(rows):
-        k = n - len(rows)  # row to fill next
-        if k == 0:
-            pat = GCPattern(rows=tuple(reversed([tuple(r) for r in rows])))
-            points.append(poly.coordinates_of(pat))
-            return
-        upper = rows[-1]
-
-        def fill_row(row, i):
-            if i > k:
-                fill(rows + [row])
-                return
-            lo = upper[i]  # lambda^{(k+1)}_{i+1}
-            hi = upper[i - 1]  # lambda^{(k+1)}_i
-            x = int(lo) if lo.denominator == 1 else int(lo) + 1
-            while x <= hi:
-                fill_row(row + [Fraction(x)], i + 1)
-                x += 1
-
-        fill_row([], 1)
-
-    fill([tuple(lam)])
-    return sorted(points)
+    top = [int(x) for x in lam]
+    at = [_cell(poly.flag, pos) for pos in poly.coords]
+    points = sorted(
+        tuple(rows[a][b] for a, b in at)
+        for rows in _patterns(top, lambda lo, hi: range(lo, hi + 1))
+    )
+    exact = {x: Fraction(x) for x in range(top[-1], top[0] + 1)}
+    return [tuple(exact[x] for x in p) for p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +530,12 @@ def _facet_node(poly, pos):
     return ("box", k, i)
 
 
-def selection_is_loop_free(poly, facet_indices):
-    """Union-find over pattern entries; a loop is a cycle of equalities."""
+def _join(edges):
+    """Union-find over pattern-entry nodes, joining the two ends of each edge.
+
+    Returns (find, looped): find maps a node to the root of its component,
+    looped says whether some edge closed a cycle.
+    """
     parent = {}
 
     def find(x):
@@ -549,13 +545,20 @@ def selection_is_loop_free(poly, facet_indices):
             x = parent[x]
         return x
 
-    for j in facet_indices:
-        up, lo = poly.facets[j].pair
-        a, b = find(_facet_node(poly, up)), find(_facet_node(poly, lo))
+    looped = False
+    for a, b in edges:
+        a, b = find(a), find(b)
         if a == b:
-            return False
-        parent[a] = b
-    return True
+            looped = True
+        else:
+            parent[a] = b
+    return find, looped
+
+
+def selection_is_loop_free(poly, facet_indices):
+    """Union-find over pattern entries; a loop is a cycle of equalities."""
+    _, looped = _join(poly._facet_ends[j] for j in facet_indices)
+    return not looped
 
 
 def simplicial_cone_determinant(poly, vertex, facet_indices):

@@ -10,8 +10,9 @@ of starts; valuations are estimated by tracking each branch to small T
 and fitting the slope of log|y_k| against log T.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -25,6 +26,7 @@ class LaurentPotential:
     lam: tuple
     coords: tuple
     terms: tuple  # (v: int tuple, tau_blocks: int tuple, tau: Fraction)
+    poly: object = field(repr=False)  # the GCPolytope whose facets give the terms
 
     @property
     def N(self):
@@ -58,16 +60,23 @@ class LaurentPotential:
                 parts.append(topn)
         return " + ".join(parts)
 
-    # numeric evaluation at fixed T, in log coordinates s = log y
+    # numeric evaluation at fixed T, in log coordinates s = log y; the term
+    # exponents and offsets are built once, as read-only float arrays
 
+    @cached_property
     def _vm(self):
-        return np.array([v for v, _, _ in self.terms], dtype=float)
+        vm = np.array([v for v, _, _ in self.terms], dtype=float)
+        vm.flags.writeable = False
+        return vm
 
+    @cached_property
     def _taus(self):
-        return np.array([float(t) for _, _, t in self.terms])
+        taus = np.array([float(t) for _, _, t in self.terms])
+        taus.flags.writeable = False
+        return taus
 
     def exponents(self, s, logT):
-        return self._vm() @ s - self._taus() * logT
+        return self._vm @ s - self._taus * logT
 
     def terms_at(self, s, logT):
         return np.exp(self.exponents(s, logT))
@@ -77,10 +86,10 @@ class LaurentPotential:
 
     def gradient(self, s, logT):
         """y d/dy derivatives, i.e. d/ds."""
-        return self._vm().T @ self.terms_at(s, logT)
+        return self._vm.T @ self.terms_at(s, logT)
 
     def hessian(self, s, logT):
-        vm = self._vm()
+        vm = self._vm
         e = self.terms_at(s, logT)
         return (vm * e[:, None]).T @ vm
 
@@ -94,21 +103,9 @@ def build_potential(poly):
     terms = tuple(
         (f.v, f.tau_blocks, f.tau) for f in poly.facets
     )
-    pot = LaurentPotential(
-        flag=poly.flag, lam=poly.lam, coords=poly.coords, terms=terms
+    return LaurentPotential(
+        flag=poly.flag, lam=poly.lam, coords=poly.coords, terms=terms, poly=poly
     )
-    object.__setattr__(pot, "_poly", poly)
-    return pot
-
-
-def _source_polytope(pot):
-    if not hasattr(pot, "_poly"):
-        from .polytopes import build_polytope
-
-        object.__setattr__(
-            pot, "_poly", build_polytope(pot.flag, pot.lam, coords=pot.coords)
-        )
-    return pot._poly
 
 
 @dataclass
@@ -131,7 +128,7 @@ def _newton(pot, s, logT, maxit=80, tol=1e-12):
     for _ in range(maxit):
         e = pot.terms_at(s, logT)
         scale = np.abs(e).sum()
-        g = pot._vm().T @ e
+        g = pot._vm.T @ e
         res = np.abs(g).max()
         if res <= tol * scale:
             return s, res / scale
@@ -151,8 +148,7 @@ def _newton(pot, s, logT, maxit=80, tol=1e-12):
 def _start_grid(pot, T, seed=0, max_starts=4000):
     """Deterministic starts: magnitudes T^u over polytope points, sixth-root
     phases.  Subsampled reproducibly when the full grid is too large."""
-    poly = _source_polytope(pot)
-    pts = [tuple(float(x) for x in p) for p in lattice_points(poly)]
+    pts = [tuple(float(x) for x in p) for p in lattice_points(pot.poly)]
     center = tuple(
         float(sum(c) / len(pts)) for c in zip(*pts)
     )
@@ -190,9 +186,8 @@ def critical_points(pot, T, seed=0, dedup=1e-8):
     # polytope; Newton runaways along collapse loci (where subsets of
     # terms cancel and the residual test passes relative to a huge term
     # scale) drift outside it
-    poly = _source_polytope(pot)
     verts = np.array(
-        [[float(c) for c in v] for v, _ in poly.vertices()], dtype=float
+        [[float(c) for c in v] for v, _ in pot.poly.vertices()], dtype=float
     )
     umin = verts.min(axis=0)
     umax = verts.max(axis=0)
@@ -212,7 +207,7 @@ def critical_points(pot, T, seed=0, dedup=1e-8):
         e = pot.terms_at(s, logT)
         h = pot.hessian(s, logT)
         try:
-            step = np.linalg.solve(h, pot._vm().T @ e)
+            step = np.linalg.solve(h, pot._vm.T @ e)
         except np.linalg.LinAlgError:
             continue
         if np.abs(step).max() > 1e-6:
@@ -249,7 +244,7 @@ def hessian_nondegenerate(pot, T, y):
     s = np.log(y)
     e = pot.terms_at(s, logT)
     scale = np.abs(e).sum()
-    g = pot._vm().T @ e
+    g = pot._vm.T @ e
     if np.abs(g).max() > 1e-8 * scale:
         raise ValueError("input is not a critical point")
     dh = np.linalg.det(pot.hessian(s, logT))
@@ -290,14 +285,13 @@ def critical_valuation(pot, point, eps=(1e-2, 1e-3, 1e-4)):
 def positive_real_minimum(pot, T):
     """Global minimum over the positive orthant (convex in log coordinates)."""
     logT = np.log(T)
-    poly = _source_polytope(pot)
     center = np.array(
-        [float(x) for x in poly.interior_point()], dtype=float
+        [float(x) for x in pot.poly.interior_point()], dtype=float
     )
     s = center * logT
     for _ in range(200):
         e = pot.terms_at(s, logT)
-        g = pot._vm().T @ e
+        g = pot._vm.T @ e
         if np.abs(g).max() <= 1e-13 * e.sum():
             break
         h = pot.hessian(s, logT)
@@ -308,7 +302,7 @@ def positive_real_minimum(pot, T):
             t /= 2
         s = s - t * step
     e = pot.terms_at(s, logT)
-    g = pot._vm().T @ e
+    g = pot._vm.T @ e
     h = pot.hessian(s, logT)
     dh = np.linalg.det(h)
     cp = CriticalPoint(

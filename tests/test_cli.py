@@ -112,6 +112,19 @@ def test_verify_toda_suite(capsys):
     assert doc["passed"] is True
 
 
+def test_verify_toda_suite_n4(capsys):
+    # sampled through the GC map, not by rejection from the bounding box
+    code, out = run(capsys, "verify", "--suite", "toda", "--n", "4", "--samples", "200")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_potential_command_2_4_6(capsys):
+    code, out = run(capsys, "potential", "--flag", "2,4|6", "--lambda", "3,3,0,0,-3,-3")
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 20
+
+
 def test_exit_code_invalid_input(capsys):
     # non-decreasing lambda is a usage error: exit code 2
     code = main(["polytope", "--flag", "1,2|3", "--lambda", "0,1,2"])

@@ -100,28 +100,29 @@ def test_lambda_validation():
 
 
 def brute_force_vertices(poly):
-    """Intersect every N-subset of facet hyperplanes exactly; keep feasible."""
+    """Intersect every N-subset of facet hyperplanes exactly; keep feasible.
+
+    Returns (vertex, active facet indices) pairs in sorted order.
+    """
     ineqs = [(f.v, f.tau) for f in poly.facets]
-    found = set()
+    found = {}
     for sub in combinations(range(len(ineqs)), poly.N):
         rows = [[Fraction(c) for c in ineqs[j][0]] for j in sub]
         rhs = [ineqs[j][1] for j in sub]
         pt = solve(rows, rhs)
-        if pt is None:
+        if pt is None or pt in found:
             continue
-        if all(
-            sum(Fraction(c) * x for c, x in zip(v, pt)) - t >= 0
-            for v, t in ineqs
-        ):
-            found.add(pt)
-    return sorted(found)
+        vals = [sum(Fraction(c) * x for c, x in zip(v, pt)) - t for v, t in ineqs]
+        if all(val >= 0 for val in vals):
+            found[pt] = frozenset(j for j, val in enumerate(vals) if val == 0)
+    return sorted(found.items())
 
 
 def test_vertices_f123_against_oracle():
     poly = build_polytope(F3, [2, 0, -2])
     oracle = brute_force_vertices(poly)
     assert len(oracle) == 7  # cone over a square: 4 + 2 + 1
-    assert [v for v, _ in poly.vertices()] == oracle
+    assert poly.vertices() == oracle
     # the apex of the cone (the S^3 fiber point) lies on four facets
     apex = (Fraction(0), Fraction(0), Fraction(0))
     acts = dict(poly.vertices())
@@ -131,14 +132,50 @@ def test_vertices_f123_against_oracle():
 def test_vertices_gr24_against_oracle():
     poly = build_polytope(G24, [1, 1, -1, -1])
     oracle = brute_force_vertices(poly)
-    assert [v for v, _ in poly.vertices()] == oracle
+    assert poly.vertices() == oracle
     assert len(oracle) == 6
 
 
 def test_vertices_partial_flag_against_oracle():
     poly = build_polytope(FlagType(4, (1, 3)), [2, 0, 0, -2])
     oracle = brute_force_vertices(poly)
-    assert [v for v, _ in poly.vertices()] == oracle
+    assert poly.vertices() == oracle
+
+
+# rational lambda, a generic lambda, Grassmannians and partial flags with
+# pinned entries; each has at most C(m, N) = 2002 facet subsets
+@pytest.mark.parametrize(
+    "flag,lam",
+    [
+        ("1,2|3", (2, Fraction(1, 2), -2)),
+        ("1,2,3|4", (6, 3, -1, -5)),
+        ("2|5", None),
+        ("1,3|5", None),
+        ("3|6", None),
+        ("1,3|4", (2, 0, 0, -2)),
+    ],
+)
+def test_vertices_and_facets_against_oracle(flag, lam):
+    fl = FlagType.parse(flag)
+    poly = build_polytope(fl, lam or anticanonical_lambda(fl))
+    oracle = brute_force_vertices(poly)
+    assert poly.vertices() == oracle
+    # every kept inequality is a facet: its face is (N-1)-dimensional
+    for j in range(len(poly.facets)):
+        assert affine_dim([v for v, act in oracle if j in act]) == poly.N - 1
+
+
+def test_vertices_2_4_6_certified():
+    # C(24, 12) facet subsets is out of reach for the oracle; certify each
+    # vertex exactly instead: feasible, and its tight normals span R^N
+    poly = build_polytope(FlagType.parse("2,4|6"), (3, 3, 0, 0, -3, -3))
+    verts = poly.vertices()
+    assert len(poly.facets) == 20 and len(verts) == 155
+    for v, act in verts:
+        vals = [f.ell(v) for f in poly.facets]
+        assert all(x >= 0 for x in vals)
+        assert act == frozenset(j for j, x in enumerate(vals) if x == 0)
+        assert rank([poly.facets[j].v for j in act]) == poly.N
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,18 @@ def test_valuations_g24():
         assert np.allclose(val, [0.0, 0.5, -0.5, 0.0], atol=1e-3)
 
 
+def test_term_arrays_cached_read_only():
+    poly = build_polytope(F3, [2, 0, -2])
+    pot = build_potential(poly)
+    assert pot.poly is poly
+    assert pot._vm is pot._vm and pot._taus is pot._taus
+    with pytest.raises(ValueError):
+        pot._vm[0, 0] = 5.0
+
+
 def test_positive_real_minimum_f3():
     pot = pot_f3()
-    poly = pot._poly
+    poly = pot.poly
     cp = positive_real_minimum(pot, np.exp(-1.0))
     assert np.abs(cp.y.imag).max() < 1e-12
     assert (cp.y.real > 0).all()
