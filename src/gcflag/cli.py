@@ -95,8 +95,7 @@ def cmd_critical(args):
     T = parse_T(args.T)
     pot = pt.build_potential(poly)
     points = pt.critical_points(pot, T, seed=args.seed)
-    for p in points:
-        pt.critical_valuation(pot, p)
+    pt.critical_valuation(pot, points)
     count, rank = len(points), pt.cohomology_rank(flag)
     posmin = pt.positive_real_minimum(pot, T)
     doc = {

@@ -5,8 +5,9 @@ in the variables y_k = e^{x_k} T^{u_k} and Q_j = T^{lambda_{n_j}} the
 facet with normal v and offset tau contributes prod_k y_k^{v_k} times
 prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
-Newton iteration in logarithmic coordinates from a deterministic grid
-of starts; valuations are estimated by tracking each branch to small T
+Newton iteration in logarithmic coordinates, run on a deterministic grid
+of starts (vertices and barycenter of the polytope) all at once;
+valuations are estimated by tracking all branches together to small T
 and fitting the slope of log|y_k| against log T.
 """
 
@@ -17,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .polytopes import frac_str, lattice_points
+from .polytopes import frac_str
 
 
 @dataclass(frozen=True)
@@ -120,64 +121,130 @@ class CriticalPoint:
 
 
 # ---------------------------------------------------------------------------
-# Newton solving
+# Tolerances of the numeric solvers.  Residuals and determinants are
+# measured relative to the term scale sum_m |term_m|, because terms of
+# very different sizes cancel at a critical point.
+
+NEWTON_TOL = 1e-12  # Newton has converged when max|dW/ds| <= NEWTON_TOL * scale
+VALUATION_TOL = 1e-11  # the same test on each rung of the continuation in T
+NEWTON_MAXIT = 80  # a start that has not converged after this many steps fails
+STEP_CAP = 2.0  # a Newton step moves at most this far in log space (max norm)
+DRIFT_TOL = 1e-6  # a longer Newton step at a converged point marks a flat valley
+DEDUP_TOL = 1e-8  # points closer than this, relative to max|y|, are one point
+NONDEGENERATE_TOL = 1e-8  # nondegenerate when |det Hess| > NONDEGENERATE_TOL * scale^N
+CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
+MINIMUM_TOL = 1e-13  # positive_real_minimum stops below this
 
 
-def _newton(pot, s, logT, maxit=80, tol=1e-12):
-    s = np.asarray(s, dtype=complex).copy()
-    for _ in range(maxit):
-        e = pot.terms_at(s, logT)
-        scale = np.abs(e).sum()
-        g = pot._vm.T @ e
-        res = np.abs(g).max()
-        if res <= tol * scale:
-            return s, res / scale
-        h = pot.hessian(s, logT)
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            return None
-        # dampen: never move more than ~2 units in log space at once
-        norm = np.abs(step).max()
-        if norm > 2.0:
-            step = step * (2.0 / norm)
-        s = s - step
-    return None
+def _nondegenerate(dh, scale, N):
+    """The determinant test of the logarithmic Hessian, relative to scale^N."""
+    return bool(abs(dh) > NONDEGENERATE_TOL * scale**N)
+
+
+# ---------------------------------------------------------------------------
+# Newton solving, one row per start
+
+
+def _derivatives(pot, S, logT):
+    """Terms (B, M), gradients (B, N) and Hessians (B, N, N) at the rows of S;
+    the Hessians are one product with the outer products v v^T of the term
+    exponents, with no (B, M, N) intermediate."""
+    vm = pot._vm
+    vv = (vm[:, :, None] * vm[:, None, :]).reshape(len(vm), -1)
+    E = np.exp(S @ vm.T - pot._taus * logT)
+    return E, E @ vm, (E @ vv).reshape(len(S), pot.N, pot.N)
+
+
+def _solve_rows(H, G):
+    """Solve H[b] x = G[b] for every row b.  Returns (X, ok).
+
+    One stacked solve; only if it raises (some H[b] is singular) are the
+    rows solved one by one, and then only the singular rows fail.
+    """
+    try:
+        return np.linalg.solve(H, G[..., None])[..., 0], np.ones(len(G), bool)
+    except np.linalg.LinAlgError:
+        X = np.zeros_like(G)
+        ok = np.ones(len(G), bool)
+        for b in range(len(G)):
+            try:
+                X[b] = np.linalg.solve(H[b], G[b])
+            except np.linalg.LinAlgError:
+                ok[b] = False
+        return X, ok
+
+
+def _newton(pot, S, logT, tol=NEWTON_TOL):
+    """Damped Newton in log coordinates on every row of S, a (B, N) stack.
+
+    Each row runs the iteration it would run alone: it stops once
+    max|dW/ds| <= tol * sum|terms|, it fails when its Hessian is singular
+    or after NEWTON_MAXIT steps, and each step is shortened to STEP_CAP in
+    the max norm.  Rows leave the active set as they stop.  Returns
+    (S, res, converged, singular): the final rows, the relative residuals
+    (nan where not converged) and two boolean masks; a row in neither mask
+    ran out of steps.
+    """
+    S = np.array(S, dtype=complex)
+    res = np.full(len(S), np.nan)
+    converged = np.zeros(len(S), bool)
+    singular = np.zeros(len(S), bool)
+    active = np.arange(len(S))
+    for _ in range(NEWTON_MAXIT):
+        if not active.size:
+            break
+        E, G, H = _derivatives(pot, S[active], logT)
+        scale = np.abs(E).sum(axis=1)
+        r = np.abs(G).max(axis=1)
+        done = r <= tol * scale
+        converged[active[done]] = True
+        res[active[done]] = r[done] / scale[done]
+        active, G, H = active[~done], G[~done], H[~done]
+        step, ok = _solve_rows(H, G)
+        singular[active[~ok]] = True
+        active, step = active[ok], step[ok]
+        norm = np.abs(step).max(axis=1)
+        S[active] -= step * (STEP_CAP / np.maximum(norm, STEP_CAP))[:, None]
+    return S, res, converged, singular
 
 
 def _start_grid(pot, T, seed=0, max_starts=4000):
-    """Deterministic starts: magnitudes T^u over polytope points, sixth-root
-    phases.  Subsampled reproducibly when the full grid is too large."""
-    pts = [tuple(float(x) for x in p) for p in lattice_points(pot.poly)]
-    center = tuple(
-        float(sum(c) / len(pts)) for c in zip(*pts)
+    """Deterministic starts, a (B, N) array: magnitudes T^u over the
+    barycenter and the vertices of the polytope, sixth-root phases.
+    Subsampled reproducibly when the full grid is too large."""
+    poly = pot.poly
+    mags = np.array(
+        [poly.interior_point()] + [v for v, _ in poly.vertices()], dtype=float
     )
-    mags = [center] + pts
     N = pot.N
+    if len(mags) * min(6**N, 6 * N) > max_starts:
+        draws = max(1, max_starts // len(mags))
+    elif 6**N <= 64:
+        draws = None  # every phase combination
+        every = np.arange(6**N)[:, None] // 6 ** np.arange(N) % 6
+    else:
+        draws = 6 * N
     logT = np.log(T)
-    phases = [2j * np.pi * k / 6 for k in range(6)]
+    phases = 2j * np.pi * np.arange(6) / 6
     rng = np.random.default_rng(seed)
-    starts = []
-    for u in mags:
-        base = np.array(u) * logT
-        n_phase_combos = 6 ** N
-        if len(mags) * min(n_phase_combos, 6 * N) > max_starts:
-            combos = [
-                tuple(rng.integers(0, 6, N)) for _ in range(max(1, max_starts // len(mags)))
-            ]
-        elif n_phase_combos <= 64:
-            combos = [
-                tuple((k // 6**j) % 6 for j in range(N)) for k in range(n_phase_combos)
-            ]
-        else:
-            combos = [tuple(rng.integers(0, 6, N)) for _ in range(6 * N)]
-        for c in combos:
-            starts.append(base + np.array([phases[j] for j in c]))
-    return starts[:max_starts]
+    starts = [
+        u * logT + phases[every if draws is None else rng.integers(0, 6, (draws, N))]
+        for u in mags
+    ]
+    return np.concatenate(starts)[:max_starts]
 
 
-def critical_points(pot, T, seed=0, dedup=1e-8):
-    """All isolated critical points found by multi-start Newton at fixed T."""
+def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
+    """All isolated critical points found by multi-start Newton at fixed T.
+
+    Newton runs on every start at once.  If stats is a dict it receives
+    the number of starts, how many converged, and why the others gave no
+    point: singular (a singular Hessian stopped Newton), not_converged (no
+    convergence in NEWTON_MAXIT steps), outside_box, drifting (the Newton
+    step at the limit exceeds DRIFT_TOL, or cannot be solved) and
+    duplicate; points is the number returned.  Those six counts add up to
+    starts.
+    """
     if not 0 < T < 1:
         raise ValueError("T must lie in (0, 1)")
     logT = np.log(T)
@@ -186,54 +253,51 @@ def critical_points(pot, T, seed=0, dedup=1e-8):
     # polytope; Newton runaways along collapse loci (where subsets of
     # terms cancel and the residual test passes relative to a huge term
     # scale) drift outside it
-    verts = np.array(
-        [[float(c) for c in v] for v, _ in pot.poly.vertices()], dtype=float
-    )
+    verts = np.array([v for v, _ in pot.poly.vertices()], dtype=float)
     umin = verts.min(axis=0)
     umax = verts.max(axis=0)
     slack = 0.5 * abs(logT) + 1.0
     lo = umax * logT - slack  # logT < 0 flips the range
     hi = umin * logT + slack
-    sols = []
-    for s0 in _start_grid(pot, T, seed=seed):
-        out = _newton(pot, s0, logT)
-        if out is None:
-            continue
-        s, res = out
-        if (s.real < lo).any() or (s.real > hi).any():
-            continue
-        # drift check: at a genuine isolated point the Newton step is at
-        # rounding level; in a flat valley it stays order one
-        e = pot.terms_at(s, logT)
-        h = pot.hessian(s, logT)
-        try:
-            step = np.linalg.solve(h, pot._vm.T @ e)
-        except np.linalg.LinAlgError:
-            continue
-        if np.abs(step).max() > 1e-6:
-            continue
-        y = np.exp(s)
-        if any(
-            np.abs(y - y2).max() <= dedup * max(1e-300, np.abs(y2).max())
-            for y2, _, _ in sols
-        ):
-            continue
-        sols.append((y, s, res))
-    points = []
-    for y, s, res in sols:
-        h = pot.hessian(s, logT)
-        dh = np.linalg.det(h)
-        scale = np.abs(pot.terms_at(s, logT)).sum()
-        points.append(
-            CriticalPoint(
-                y=y,
-                T=T,
-                residual=res,
-                hessian_det=dh,
-                nondegenerate=bool(abs(dh) > 1e-8 * scale**pot.N),
-            )
+    S, res, converged, singular = _newton(pot, _start_grid(pot, T, seed=seed), logT)
+    inbox = converged & ~((S.real < lo).any(axis=1) | (S.real > hi).any(axis=1))
+    # drift check: at a genuine isolated point the Newton step is at
+    # rounding level; in a flat valley it stays order one
+    rows = np.flatnonzero(inbox)
+    E, G, H = _derivatives(pot, S[rows], logT)
+    step, ok = _solve_rows(H, G)
+    steady = ok & ~(np.abs(step).max(axis=1) > DRIFT_TOL)
+    rows, E, H = rows[steady], E[steady], H[steady]
+    Y = np.exp(S[rows])
+    kept = []
+    for i, y in enumerate(Y):
+        K = Y[kept]
+        near = np.abs(y - K).max(axis=1) <= dedup * np.maximum(1e-300, np.abs(K).max(axis=1))
+        if not near.any():
+            kept.append(i)
+    points = [
+        CriticalPoint(
+            y=Y[i],
+            T=T,
+            residual=res[rows[i]],
+            hessian_det=dh,
+            nondegenerate=_nondegenerate(dh, scale, pot.N),
         )
+        for i, dh, scale in zip(kept, np.linalg.det(H[kept]), np.abs(E[kept]).sum(axis=1))
+    ]
     points.sort(key=lambda p: tuple(np.round(np.abs(p.y), 6)) + tuple(np.round(np.angle(p.y), 6)))
+    if stats is not None:
+        n_conv, n_inbox = int(converged.sum()), int(inbox.sum())
+        stats.update(
+            starts=len(S),
+            converged=n_conv,
+            singular=int(singular.sum()),
+            not_converged=len(S) - n_conv - int(singular.sum()),
+            outside_box=n_conv - n_inbox,
+            drifting=n_inbox - len(rows),
+            duplicate=len(rows) - len(points),
+            points=len(points),
+        )
     return points
 
 
@@ -245,41 +309,51 @@ def hessian_nondegenerate(pot, T, y):
     e = pot.terms_at(s, logT)
     scale = np.abs(e).sum()
     g = pot._vm.T @ e
-    if np.abs(g).max() > 1e-8 * scale:
+    if np.abs(g).max() > CRITICAL_TOL * scale:
         raise ValueError("input is not a critical point")
     dh = np.linalg.det(pot.hessian(s, logT))
-    return bool(abs(dh) > 1e-8 * scale**pot.N), dh
+    return _nondegenerate(dh, scale, pot.N), dh
 
 
-def critical_valuation(pot, point, eps=(1e-2, 1e-3, 1e-4)):
-    """Estimate v(y_k) by continuation of the branch to small T.
+def critical_valuation(pot, points, eps=(1e-2, 1e-3, 1e-4)):
+    """Estimate v(y_k) by continuation of branches to small T.
 
-    Tracks the critical point from its defining T down through the given
-    epsilon ladder and fits log|y_k| against log T; the fit residual is
-    stored on the point.  Returns the valuation vector.
+    points is one CriticalPoint or a sequence of points that share their
+    T.  All branches are tracked together, one batched Newton per step,
+    from T down through the epsilon ladder (the ladder depends only on T
+    and eps), and log|y_k| is fit against log T.  The valuation and the
+    fit residual are stored on each point.  Returns the valuation vector
+    of a single point, or a (len(points), N) array.  Raises RuntimeError
+    if any branch is lost.
     """
-    s = np.log(point.y)
-    T = point.T
+    single = isinstance(points, CriticalPoint)
+    pts = [points] if single else list(points)
+    if not pts:
+        return np.zeros((0, pot.N))
+    T = pts[0].T
+    if any(p.T != T for p in pts):
+        raise ValueError("points must share their T")
+    S = np.log(np.array([p.y for p in pts], dtype=complex))
+    ladder = sorted(eps, reverse=True)
     samples = []
-    for target in sorted(eps, reverse=True):
+    for target in ladder:
         # geometric continuation path
         steps = max(3, int(np.ceil(8 * abs(np.log(target) - np.log(T)))))
         for logT in np.linspace(np.log(T), np.log(target), steps + 1)[1:]:
-            out = _newton(pot, s, logT, tol=1e-11)
-            if out is None:
+            S, _, converged, _ = _newton(pot, S, logT, tol=VALUATION_TOL)
+            if not converged.all():
                 raise RuntimeError("continuation lost the branch")
-            s, _ = out
-        samples.append((np.log(target), np.log(np.abs(np.exp(s)))))
+        samples.append(S.real.ravel())
         T = target
-    xs = np.array([a for a, _ in samples])
-    ys = np.array([b for _, b in samples])
+    xs = np.log(ladder)
     A = np.vstack([xs, np.ones_like(xs)]).T
-    fit, res, _, _ = np.linalg.lstsq(A, ys, rcond=None)
-    val = fit[0]
-    resid = float(np.sqrt(res.sum())) if res.size else 0.0
-    point.valuation = val
-    point.valuation_residual = resid
-    return val
+    fit, res, _, _ = np.linalg.lstsq(A, np.array(samples), rcond=None)
+    vals = fit[0].reshape(len(pts), pot.N)
+    resid = np.sqrt(res.reshape(len(pts), pot.N).sum(axis=1)) if res.size else np.zeros(len(pts))
+    for p, val, r in zip(pts, vals, resid):
+        p.valuation = val
+        p.valuation_residual = float(r)
+    return vals[0] if single else vals
 
 
 def positive_real_minimum(pot, T):
@@ -292,7 +366,7 @@ def positive_real_minimum(pot, T):
     for _ in range(200):
         e = pot.terms_at(s, logT)
         g = pot._vm.T @ e
-        if np.abs(g).max() <= 1e-13 * e.sum():
+        if np.abs(g).max() <= MINIMUM_TOL * e.sum():
             break
         h = pot.hessian(s, logT)
         step = np.linalg.solve(h, g)
@@ -310,7 +384,7 @@ def positive_real_minimum(pot, T):
         T=T,
         residual=float(np.abs(g).max() / e.sum()),
         hessian_det=dh,
-        nondegenerate=bool(abs(dh) > 1e-8 * e.sum() ** pot.N),
+        nondegenerate=_nondegenerate(dh, e.sum(), pot.N),
     )
     critical_valuation(pot, cp)
     return cp

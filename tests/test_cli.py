@@ -88,6 +88,15 @@ def test_critical_command(capsys):
     assert pm["interior"] is True and pm["nondegenerate"] is True
 
 
+def test_critical_command_rational_lambda(capsys):
+    code, out = run(capsys, "critical", "--flag", "1,2|3", "--lambda", "2,1/2,-2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["critical_count"] == doc["cohomology_rank"] == 6
+    assert all(p["nondegenerate"] for p in doc["critical"])
+    assert doc["positive_real_minimum"]["interior"] is True
+
+
 def test_toda_command(capsys):
     code, out = run(capsys, "toda", "--flag", "1,2|3", "--lambda", "2,0,-2")
     assert code == 0

@@ -4,6 +4,10 @@ import pytest
 from gcflag.flags import FlagType
 from gcflag.polytopes import build_polytope
 from gcflag.potential import (
+    NEWTON_TOL,
+    STEP_CAP,
+    _newton,
+    _start_grid,
     build_potential,
     cohomology_rank,
     count_vs_cohomology,
@@ -132,6 +136,74 @@ def test_critical_rejects_bad_T():
             critical_points(pot, T)
 
 
+def scalar_newton(pot, s, logT, maxit=80, tol=NEWTON_TOL):
+    """Damped Newton from one start, one step at a time: the oracle of the
+    row-batched _newton.  Returns ("converged", limit), ("singular", None)
+    or ("not_converged", None)."""
+    s = np.asarray(s, dtype=complex).copy()
+    for _ in range(maxit):
+        e = pot.terms_at(s, logT)
+        g = pot.gradient(s, logT)
+        if np.abs(g).max() <= tol * np.abs(e).sum():
+            return "converged", s
+        try:
+            step = np.linalg.solve(pot.hessian(s, logT), g)
+        except np.linalg.LinAlgError:
+            return "singular", None
+        norm = np.abs(step).max()
+        if norm > STEP_CAP:
+            step = step * (STEP_CAP / norm)
+        s = s - step
+    return "not_converged", None
+
+
+@pytest.mark.parametrize("pot", [pot_f3(), pot_g24()], ids=["f3", "g24"])
+def test_batched_newton_matches_scalar_oracle(pot):
+    logT = -1.0
+    starts = _start_grid(pot, np.exp(logT))
+    S, res, converged, singular = _newton(pot, starts, logT)
+    assert np.isnan(res[~converged]).all() and (res[converged] <= NEWTON_TOL).all()
+    for b, s0 in enumerate(starts):
+        status, want = scalar_newton(pot, s0, logT)
+        assert (converged[b], singular[b]) == (status == "converged", status == "singular")
+        if want is not None:
+            assert np.abs(S[b] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    if pot.N == 4:
+        # the g24 grid has rows with a singular Hessian, so the stacked
+        # solve raised and the row-by-row fallback ran
+        assert singular.any()
+
+
+def test_start_grid_from_vertices_and_barycenter():
+    pot = pot_f3()
+    T = np.exp(-1.0)
+    starts = _start_grid(pot, T)
+    mags = [pot.poly.interior_point()] + [v for v, _ in pot.poly.vertices()]
+    # 6^3 phase combinations exceed 64, so each magnitude gets 6 N = 18
+    assert starts.shape == (18 * len(mags), 3)
+    assert np.allclose(starts[0].real, np.array(mags[0], dtype=float) * np.log(T))
+    assert np.array_equal(starts, _start_grid(pot, T))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_critical_count_f4_all_seeds(seed):
+    pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
+    assert len(critical_points(pot, np.exp(-1.0), seed=seed)) == 24
+
+
+@pytest.mark.parametrize("lam", [[5, 2, 0, -4], [3, 1, -1, -3]])
+def test_critical_stats_account_for_every_start(lam):
+    pot = build_potential(build_polytope(FlagType.full(4), lam))
+    stats = {}
+    pts = critical_points(pot, np.exp(-1.0), stats=stats)
+    assert stats["starts"] == len(_start_grid(pot, np.exp(-1.0))) > 0
+    assert stats["points"] == len(pts)
+    rejected = ("singular", "not_converged", "outside_box", "drifting", "duplicate")
+    assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
+    assert stats["converged"] == stats["starts"] - stats["singular"] - stats["not_converged"]
+    assert all(v >= 0 for v in stats.values())
+
+
 # ---------------------------------------------------------------------------
 # hessian and valuations
 
@@ -161,6 +233,26 @@ def test_valuations_g24():
     for p in pts:
         val = critical_valuation(pot, p)
         assert np.allclose(val, [0.0, 0.5, -0.5, 0.0], atol=1e-3)
+
+
+@pytest.mark.parametrize("pot", [pot_f3(), pot_g24()], ids=["f3", "g24"])
+def test_batched_valuations_match_per_point(pot):
+    T = np.exp(-1.0)
+    one = [critical_valuation(pot, p) for p in critical_points(pot, T)]
+    pts = critical_points(pot, T)
+    vals = critical_valuation(pot, pts)
+    assert vals.shape == (len(pts), pot.N)
+    for p, v, want in zip(pts, vals, one):
+        assert np.abs(v - want).max() <= 1e-9
+        assert np.array_equal(p.valuation, v)
+    assert critical_valuation(pot, []).shape == (0, pot.N)
+
+
+def test_valuation_refuses_mixed_T():
+    pot = pot_f3()
+    pts = critical_points(pot, np.exp(-1.0)) + critical_points(pot, 0.1)
+    with pytest.raises(ValueError):
+        critical_valuation(pot, pts)
 
 
 def test_term_arrays_cached_read_only():
