@@ -1,7 +1,8 @@
-"""Exact linear algebra over the rationals (fractions.Fraction).
+"""Exact rationals (fractions.Fraction): coercion and a small determinant.
 
-Small dense problems only; everything here is O(n^3) Gaussian elimination
-with exact arithmetic.
+Ranks, dimensions and solves on facet normals are decided combinatorially
+in polytopes (a union-find over pattern entries); det is left for the
+unimodularity check of simplicial cones.
 """
 
 from fractions import Fraction
@@ -42,54 +43,3 @@ def det(rows):
     for i in range(n):
         result *= a[i][i]
     return result
-
-
-def rank(rows):
-    """Exact rank of a (possibly rectangular) matrix."""
-    if not rows:
-        return 0
-    a = [[to_fraction(x) for x in row] for row in rows]
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m):
-            if a[i][col] != 0:
-                f = a[i][col] / a[r][col]
-                for c in range(col, n):
-                    a[i][c] -= f * a[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def solve(rows, rhs):
-    """Solve a square system exactly; returns None if singular."""
-    n = len(rows)
-    a = [[to_fraction(x) for x in row] + [to_fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / inv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
-
-
-def affine_dim(points):
-    """Dimension of the affine hull of a set of rational points (-1 if empty)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    p0 = pts[0]
-    diffs = [[to_fraction(x) - to_fraction(y) for x, y in zip(p, p0)] for p in pts[1:]]
-    return rank(diffs) if diffs else 0

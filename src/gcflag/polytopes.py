@@ -5,21 +5,30 @@ ladder-diagram box (equivalently, per non-constant entry of the triangular
 interlacing pattern).  All arithmetic in this module is exact over the
 rationals: facet irredundancy, vertex enumeration, volumes, reflexivity and
 the unimodularity check for simplicial cones are integer/rational statements
-and are decided without floating point.  Vertices are read off the
-interlacing patterns with entries in lambda (GCPolytope.vertices), by
-comparing pattern entries and a union-find over them.
+and are decided without floating point.
+
+Every facet normal is e_a - e_b or +-e_a, an equality between two adjacent
+pattern entries, so a set of normals is a graph on the free entries plus
+one ground node for all lambda values, and its rank is the size of a
+spanning forest (_join).  That one union-find decides which patterns are
+vertices, which inequalities are facets, the dimension of every face, and
+the reflexive centre.  Volumes are sums over the face lattice (the lattice
+pyramid recursion, _face_volume) with no determinant: a face's free
+entries fall into clusters of equal entries, the clusters are lattice
+coordinates on its affine hull, and in them every facet inequality has
+coefficients +-1.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import factorial
 
 import numpy as np
 
-from .exactla import affine_dim, det, rank, solve, to_fraction
+from .exactla import det, to_fraction
 from .flags import FlagType
 
 
@@ -189,10 +198,10 @@ class GCPolytope:
         network matrix: e_a - e_b joins two free entries and +-e_a joins a
         free entry to a lambda value (a pinned entry or row n), so it is the
         incidence matrix of a graph on the free entries plus one ground node
-        for all lambda values.  Its rank is N minus the number of components
-        without a lambda node, so the pattern is a vertex iff the tight
-        facets join every free entry to a lambda value (a union-find, _join).
-        No arithmetic is needed.
+        for all lambda values.  Its rank is the size of a spanning forest
+        (_join), N minus the number of components without the ground, so
+        the pattern is a vertex iff the tight facets join every free entry
+        to a lambda value.  No arithmetic is needed.
         """
         return self._vertices
 
@@ -201,22 +210,19 @@ class GCPolytope:
         values = sorted(set(self.lam))
         pairs = [tuple(_cell(self.flag, pos) for pos in f.pair) for f in self.facets]
         at = [_cell(self.flag, pos) for pos in self.coords]
-        lambda_nodes = [("val", b) for b in range(1, self.flag.r + 2)]
-        free_nodes = [_facet_node(self, pos) for pos in self.coords]
         out = []
         for rows in _patterns(self.lam, lambda lo, hi: [x for x in values if lo <= x <= hi]):
             tight = [
                 j for j, ((a, b), (c, e)) in enumerate(pairs) if rows[a][b] == rows[c][e]
             ]
-            find, _ = _join(self._facet_ends[j] for j in tight)
-            grounded = {find(x) for x in lambda_nodes}
-            if all(find(x) in grounded for x in free_nodes):
+            if len(_join(self._facet_ends[j] for j in tight)) == self.N:
                 out.append((tuple(rows[a][b] for a, b in at), frozenset(tight)))
         return sorted(out, key=lambda vertex: vertex[0])
 
     @cached_property
     def _facet_ends(self):
-        """The two pattern-entry nodes joined by each facet's equality."""
+        """The two pattern-entry nodes joined by each facet's equality,
+        upper entry first (the normal is +1 there, -1 at the lower one)."""
         return tuple(tuple(_facet_node(self, pos) for pos in f.pair) for f in self.facets)
 
 
@@ -259,8 +265,8 @@ def build_polytope(flag, lam, coords=None):
     One inequality is generated per adjacent pattern pair; constant-constant
     pairs are dropped.  Candidate j is kept iff its face is (N-1)-dimensional:
     the normals tight at every vertex of the face are its implicit
-    equalities, so j is a facet iff those normals have rank 1.  The vertices
-    are those of the polytope cut out by all candidates.
+    equalities, so j is a facet iff those normals have rank 1 (_join).  The
+    vertices are those of the polytope cut out by all candidates.
     """
     lam = validate_lambda(flag, lam)
     default_coords = free_positions(flag)
@@ -310,10 +316,11 @@ def build_polytope(flag, lam, coords=None):
 
     provisional = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(candidates))
     verts = provisional.vertices()
+    ends = provisional._facet_ends
     facets = []
     for j, f in enumerate(candidates):
         on_face = [act for _, act in verts if j in act]
-        if on_face and rank([candidates[i].v for i in frozenset.intersection(*on_face)]) == 1:
+        if on_face and len(_join(ends[i] for i in frozenset.intersection(*on_face))) == 1:
             facets.append(f)
     return GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(facets))
 
@@ -379,69 +386,74 @@ def volume_formula(flag, lam):
     return out
 
 
-def _volume_of(points, facet_sets):
-    """Exact Euclidean volume of a full-dimensional polytope.
+def _face_volume(facet_masks, dim, height):
+    """Normalized volume of a face, as a memoized function of the face.
 
-    points: list of rational vectors; facet_sets: frozensets of point
-    indices lying on each facet.  Uses a pulling triangulation; each face
-    of the face lattice is triangulated once (memoized), since the pulled
-    vertex min(face) does not depend on how the face was reached.
+    A face G is a bitmask of the vertices it holds, and facet_masks holds
+    one such mask per facet of the whole polytope; the facets of G are the
+    sets G & facet_masks[j] of dimension dim(G) - 1.  With v0 the least
+    vertex of G, G is the union of the pyramids with apex v0 over its facets
+    F that miss v0, so (Lasserre, JOTA 39, 1983)
+
+        Vol(G) = sum over those F of height(v0, j) * Vol(F),
+
+    j being a facet with F = G & facet_masks[j], and a point has volume 1.
+    Vol is d! times the d-dimensional volume in lattice coordinates on the
+    affine hull, and height(v0, j) must be the lattice distance of v0 from
+    the hyperplane of F inside that hull.
     """
-    N = len(points[0])
-    facet_sets = sorted(set(facet_sets))
-    dim_cache = {}
-    tri_cache = {}
+    dim = cache(dim)
+    memo = {}
 
-    def adim(fs):
-        if fs not in dim_cache:
-            dim_cache[fs] = affine_dim([points[i] for i in fs])
-        return dim_cache[fs]
+    def vol(G):
+        d = dim(G)
+        if d == 0:
+            return 1
+        if G not in memo:
+            v0, seen, total = G & -G, set(), 0
+            for j, M in enumerate(facet_masks):
+                F = G & M
+                if F and F != G and not F & v0 and F not in seen:
+                    seen.add(F)
+                    if dim(F) == d - 1:
+                        total += height(v0.bit_length() - 1, j) * vol(F)
+            memo[G] = total
+        return memo[G]
 
-    def tri(vset):
-        if vset in tri_cache:
-            return tri_cache[vset]
-        dim = adim(vset)
-        if len(vset) == dim + 1:
-            out = [tuple(sorted(vset))]
-        else:
-            v0 = min(vset)
-            out = []
-            seen = set()
-            for fs in facet_sets:
-                sub = vset & fs
-                if v0 in sub or len(sub) < dim or sub in seen:
-                    continue
-                seen.add(sub)
-                if adim(sub) == dim - 1:
-                    out.extend(s + (v0,) for s in tri(sub))
-        tri_cache[vset] = out
-        return out
-
-    simplices = tri(frozenset(range(len(points))))
-    total = Fraction(0)
-    fact = factorial(N)
-    for simplex in simplices:
-        base = points[simplex[0]]
-        rows = [
-            [points[i][c] - base[c] for c in range(N)] for i in simplex[1:]
-        ]
-        total += abs(det(rows)) / fact
-    return total
+    return vol
 
 
 def volume(poly):
-    """Exact Euclidean volume via a pulling triangulation of the vertex set."""
+    """Exact Euclidean volume by the pyramid recursion over the face lattice.
+
+    The dimension of a face is the number of free-entry components, under
+    the equalities of the facets tight on all of it, that reach no lambda
+    value (_join); entries in one component are equal on the face.  These
+    clusters are lattice coordinates on the face's affine hull, and in them
+    a facet inequality not tight on the whole face reads x_a - x_b - c or
+    +-x_a - c: its coefficients are +-1, so the lattice distance of a
+    vertex w from the hyperplane of the facet is |ell_j(w)|.  At the top
+    the clusters are the N coordinates, so the volume is Vol(P) / N!.
+    """
     if poly.N < 1:
         raise ValueError("polytope must be at least one-dimensional")
     verts = poly.vertices()
-    points = [v for v, _ in verts]
-    if affine_dim(points) < poly.N:
-        raise ValueError("polytope is not full-dimensional")
-    facet_sets = [
-        frozenset(i for i, (_, act) in enumerate(verts) if j in act)
+    ends = poly._facet_ends
+    masks = [
+        sum(1 << i for i, (_, act) in enumerate(verts) if j in act)
         for j in range(len(poly.facets))
     ]
-    return _volume_of(points, facet_sets)
+
+    def dim(G):
+        return poly.N - len(_join(ends[j] for j, M in enumerate(masks) if G & M == G))
+
+    def height(v0, j):
+        return abs(poly.facets[j].ell(verts[v0][0]))
+
+    everything = (1 << len(verts)) - 1
+    if dim(everything) < poly.N:
+        raise ValueError("polytope is not full-dimensional")
+    return Fraction(_face_volume(masks, dim, height)(everything), factorial(poly.N))
 
 
 # ---------------------------------------------------------------------------
@@ -470,45 +482,67 @@ def is_reflexive(poly):
     Reflexive means one interior lattice point p with every facet at lattice
     distance 1 from it: ell_f(p) = 1 for all f.  This is decided from the
     facets alone.  N facets with independent normals fix the only candidate,
-    ell_f(p) = 1 on those N; the polytope is reflexive iff p is integral and
-    ell_f(p) = 1 holds for every facet.  Such a p is interior, and it is the
-    only interior lattice point: ell_f takes integer values on lattice
-    points, so an interior lattice point q has ell_f(q) >= 1 = ell_f(p) for
-    every f, which puts q - p in the recession cone of a bounded polytope,
-    {0}.
+    ell_f(p) = 1 on those N, and they form a spanning tree of the pattern
+    entries and the ground (_join), along which p is read off edge by edge.
+    The polytope is reflexive iff p is integral and ell_f(p) = 1 holds for
+    every facet.  Such a p is interior, and it is the only interior lattice
+    point: ell_f takes integer values on lattice points, so an interior
+    lattice point q has ell_f(q) >= 1 = ell_f(p) for every f, which puts
+    q - p in the recession cone of a bounded polytope, {0}.
     """
     if any(x.denominator != 1 for x in poly.lam):
         raise ValueError("reflexivity requires integral lambda")
-    rows, rhs = [], []
-    for f in poly.facets:
-        if len(rows) < poly.N and rank(rows + [f.v]) > len(rows):
-            rows.append(f.v)
-            rhs.append(f.tau + 1)
-    if len(rows) < poly.N:
+    ends = poly._facet_ends
+    forest = _join(ends)
+    if len(forest) < poly.N:
         raise ValueError("polytope is not full-dimensional")
-    p = solve(rows, rhs)
+    # N independent normals span the entries and the ground, whose value is
+    # 0 (lambda sits in tau); p[upper] - p[lower] = tau + 1 along each edge
+    # fixes the entries outwards from it
+    at = {_GROUND: Fraction(0)}
+    while forest:
+        rest = []
+        for j in forest:
+            upper, lower = ends[j]
+            step = poly.facets[j].tau + 1
+            if upper in at:
+                at[lower] = at[upper] - step
+            elif lower in at:
+                at[upper] = at[lower] + step
+            else:
+                rest.append(j)
+        forest = rest
+    p = tuple(at[pos] for pos in poly.coords)
     if any(x.denominator != 1 for x in p) or any(f.ell(p) != 1 for f in poly.facets):
         return False, None
     return True, p
 
 
 def dual_volume(poly):
-    """Exact volume of conv{facet normals}, the dual after the reflexive shift."""
-    ok, p = is_reflexive(poly)
+    """Exact volume of conv{facet normals}, the dual after the reflexive shift.
+
+    The facets of the dual are the vertices' active sets: <v_f, w - p> = -1
+    iff f is tight at the vertex w.  They lie on hyperplanes that miss the
+    origin, so the dual is the union of the cones from the origin over the
+    simplices of a pulling triangulation of its boundary.  Each such cone is
+    spanned by N independent normals, and every N-subset of GC normals has
+    determinant 0 or +-1 (a network matrix), so each cone has normalized
+    volume 1.  The volume is therefore the number of those simplices over
+    N!: the pyramid recursion on each dual facet with every height 1.  A
+    face of the dual is a set of normals on such a hyperplane, so its affine
+    dimension is their rank (_join) minus 1.
+    """
+    ok, _ = is_reflexive(poly)
     if not ok:
         raise ValueError("dual polytope is only defined for reflexive input")
-    normals = [tuple(Fraction(c) for c in f.v) for f in poly.facets]
-    # facets of the dual correspond to vertices of the translated polytope
-    facet_sets = []
-    for w, _ in poly.vertices():
-        ws = tuple(x - y for x, y in zip(w, p))
-        fs = frozenset(
-            i
-            for i, v in enumerate(normals)
-            if sum(a * b for a, b in zip(v, ws)) == -1
-        )
-        facet_sets.append(fs)
-    return _volume_of(normals, facet_sets)
+    ends = poly._facet_ends
+    masks = [sum(1 << j for j in act) for _, act in poly.vertices()]
+
+    def dim(G):
+        return len(_join(ends[j] for j in range(len(ends)) if G >> j & 1)) - 1
+
+    vol = _face_volume(masks, dim, lambda v0, j: 1)
+    return Fraction(sum(vol(M) for M in masks), factorial(poly.N))
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +557,24 @@ class RankDeficientError(ValueError):
     """The selected facet normals do not span R^N."""
 
 
+_GROUND = "lambda"
+
+
 def _facet_node(poly, pos):
+    """Union-find node of pattern position pos: itself if free, else the
+    ground node shared by all lambda values."""
     k, i = pos
     if k == poly.flag.n or is_pinned(poly.flag, k, i):
-        return ("val", poly.flag.block_of(i))
-    return ("box", k, i)
+        return _GROUND
+    return pos
 
 
 def _join(edges):
-    """Union-find over pattern-entry nodes, joining the two ends of each edge.
+    """Union-find over pattern entries and the ground, joining each edge's ends.
 
-    Returns (find, looped): find maps a node to the root of its component,
-    looped says whether some edge closed a cycle.
+    Returns the indices of the edges that joined two components, a
+    spanning forest.  The edges' normals form a network matrix, so the
+    forest's size is their rank; an edge left out closes a loop.
     """
     parent = {}
 
@@ -545,20 +585,24 @@ def _join(edges):
             x = parent[x]
         return x
 
-    looped = False
-    for a, b in edges:
+    forest = []
+    for j, (a, b) in enumerate(edges):
         a, b = find(a), find(b)
-        if a == b:
-            looped = True
-        else:
+        if a != b:
             parent[a] = b
-    return find, looped
+            forest.append(j)
+    return forest
 
 
 def selection_is_loop_free(poly, facet_indices):
-    """Union-find over pattern entries; a loop is a cycle of equalities."""
-    _, looped = _join(poly._facet_ends[j] for j in facet_indices)
-    return not looped
+    """Union-find over pattern entries; a loop is a cycle of equalities.
+
+    All lambda values are one ground node, so a chain of equalities between
+    two lambda values closes a loop too; among facets tight at one point
+    such a chain joins equal values, one block of lambda.
+    """
+    facet_indices = list(facet_indices)
+    return len(_join(poly._facet_ends[j] for j in facet_indices)) == len(facet_indices)
 
 
 def simplicial_cone_determinant(poly, vertex, facet_indices):
@@ -572,10 +616,10 @@ def simplicial_cone_determinant(poly, vertex, facet_indices):
             raise ValueError("ray %d is not active at the vertex" % j)
     if not selection_is_loop_free(poly, facet_indices):
         raise LoopError("equality set contains a loop")
-    rows = [[Fraction(c) for c in poly.facets[j].v] for j in facet_indices]
-    if rank(rows) < poly.N:
+    d = det([[Fraction(c) for c in poly.facets[j].v] for j in facet_indices])
+    if d == 0:
         raise RankDeficientError("ray selection is rank-deficient")
-    return det(rows)
+    return d
 
 
 # ---------------------------------------------------------------------------

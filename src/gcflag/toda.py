@@ -123,8 +123,8 @@ def gc_to_toda(x, u, lam, flag=None):
     """Triangular T-coordinates with T_{ij} = u^{(i+j-1)}_i - x^{(i+j-1)}_i.
 
     x and u are coordinate vectors in the standard order (pattern rows top
-    down); the boundary entries are T_{i,n-i+1} = lambda_i.  Full flags
-    only: the change of variables needs every pattern entry free.
+    down), real or complex; the boundary entries are T_{i,n-i+1} = lambda_i.
+    Full flags only: the change of variables needs every pattern entry free.
     """
     from .flags import FlagType
     from .polytopes import free_positions
@@ -135,8 +135,8 @@ def gc_to_toda(x, u, lam, flag=None):
     if not flag.is_full():
         raise ValueError("the Toda correspondence needs a full flag")
     coords = free_positions(flag)
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x = np.asarray(x)
+    u = np.asarray(u)
     pos = {p: a for a, p in enumerate(coords)}
     T = {}
     for i in range(1, n + 1):
@@ -145,7 +145,7 @@ def gc_to_toda(x, u, lam, flag=None):
                 T[(i, j)] = float(lam[i - 1])
             else:
                 a = pos[(i + j - 1, i)]
-                T[(i, j)] = float(u[a]) - float(x[a])
+                T[(i, j)] = u[a] - x[a]
     return PhaseCoordinates(n=n, T=T)
 
 
@@ -202,10 +202,9 @@ def level_set_check(pot, T=np.exp(-1), seed=0):
     for cp in pts:
         s = np.log(cp.y.astype(complex))
         # T_{ij} = u_{ij} - x_{ij} = -log y_{ij} at T = e^{-1}
-        pc = _phase_from_logs(n, lam, -s)
-        g = _lambda_gradients(pc)
+        pc = gc_to_toda(s, np.zeros_like(s), lam)
         best = None
-        for name, p_vec, q_vec in _conventions(g, q):
+        for name, p_vec, q_vec in _conventions(pc, q):
             state = TodaState(p=tuple(p_vec), q=tuple(q_vec))
             D = toda_hamiltonians(state)
             resid = max(abs(D[i]) for i in range(1, n))
@@ -222,38 +221,7 @@ def level_set_check(pot, T=np.exp(-1), seed=0):
     return report
 
 
-def _phase_from_logs(n, lam, tvals):
-    """PhaseCoordinates with complex interior entries -log y."""
-    from .flags import FlagType
-    from .polytopes import free_positions
-
-    coords = free_positions(FlagType.full(n))
-    pos = {p: a for a, p in enumerate(coords)}
-    T = {}
-    for i in range(1, n + 1):
-        for j in range(1, n - i + 2):
-            if j == n - i + 1:
-                T[(i, j)] = complex(lam[i - 1])
-            else:
-                T[(i, j)] = complex(tvals[pos[(i + j - 1, i)]])
-    return PhaseCoordinates(n=n, T=T)
-
-
-def _lambda_gradients(pc):
-    """df/dlambda_m for complex phase coordinates, m = 1..n."""
-    n = pc.n
-    g = []
-    for m in range(1, n + 1):
-        val = 0.0 + 0.0j
-        if m >= 2:
-            val += np.exp(pc.T[(m, n - m + 1)] - pc.T[(m - 1, n - m + 1)])
-        if m <= n - 1:
-            val -= np.exp(pc.T[(m, n - m)] - pc.T[(m, n - m + 1)])
-        g.append(val)
-    return np.array(g)
-
-
-def _conventions(g, q):
+def _conventions(pc, q):
     """Momentum assembly sweep for the Lax diagonal.
 
     Two families: "grad" takes p_i = df/dt_i = g_{i+1} (the symbol of the
@@ -262,7 +230,8 @@ def _conventions(g, q):
     p_i = q_i df/dq_i = -(g_1 + ... + g_i) with p_0 forced by D_1 = 0.
     Each family is tried with both signs and with index reversal.
     """
-    P = -np.cumsum(g)[:-1]
+    g = boundary_gradients(pc)
+    P = momenta(pc)
     bases = [
         ("grad", list(g)),
         ("cumsum", [-sum(P)] + list(P)),

@@ -1,0 +1,113 @@
+"""Exact reference implementations the tests compare gcflag against.
+
+Gaussian elimination over Fractions (rank, solve, affine_dim) and a pulling
+triangulation with a determinant per simplex (volume_of).  The library
+answers these questions combinatorially from the pattern graph; these are
+the direct computations, slow but independent of that argument.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from gcflag.exactla import det, to_fraction
+
+
+def rank(rows):
+    """Exact rank of a (possibly rectangular) matrix."""
+    if not rows:
+        return 0
+    a = [[to_fraction(x) for x in row] for row in rows]
+    m, n = len(a), len(a[0])
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, m):
+            if a[i][col] != 0:
+                f = a[i][col] / a[r][col]
+                for c in range(col, n):
+                    a[i][c] -= f * a[r][c]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def solve(rows, rhs):
+    """Solve a square system exactly; returns None if singular."""
+    n = len(rows)
+    a = [[to_fraction(x) for x in row] + [to_fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / inv
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def affine_dim(points):
+    """Dimension of the affine hull of a set of rational points (-1 if empty)."""
+    pts = list(points)
+    if not pts:
+        return -1
+    p0 = pts[0]
+    diffs = [[to_fraction(x) - to_fraction(y) for x, y in zip(p, p0)] for p in pts[1:]]
+    return rank(diffs) if diffs else 0
+
+
+def volume_of(points, facet_sets):
+    """Exact Euclidean volume of a full-dimensional polytope.
+
+    points: list of rational vectors; facet_sets: frozensets of point
+    indices lying on each facet.  Uses a pulling triangulation; each face
+    of the face lattice is triangulated once (memoized), since the pulled
+    vertex min(face) does not depend on how the face was reached.
+    """
+    N = len(points[0])
+    facet_sets = sorted(set(facet_sets))
+    dim_cache = {}
+    tri_cache = {}
+
+    def adim(fs):
+        if fs not in dim_cache:
+            dim_cache[fs] = affine_dim([points[i] for i in fs])
+        return dim_cache[fs]
+
+    def tri(vset):
+        if vset in tri_cache:
+            return tri_cache[vset]
+        dim = adim(vset)
+        if len(vset) == dim + 1:
+            out = [tuple(sorted(vset))]
+        else:
+            v0 = min(vset)
+            out = []
+            seen = set()
+            for fs in facet_sets:
+                sub = vset & fs
+                if v0 in sub or len(sub) < dim or sub in seen:
+                    continue
+                seen.add(sub)
+                if adim(sub) == dim - 1:
+                    out.extend(s + (v0,) for s in tri(sub))
+        tri_cache[vset] = out
+        return out
+
+    simplices = tri(frozenset(range(len(points))))
+    total = Fraction(0)
+    fact = factorial(N)
+    for simplex in simplices:
+        base = points[simplex[0]]
+        rows = [
+            [points[i][c] - base[c] for c in range(N)] for i in simplex[1:]
+        ]
+        total += abs(det(rows)) / fact
+    return total

@@ -22,7 +22,8 @@ from gcflag.degeneration import (
     random_torus_point,
     verify_family_equation,
 )
-from gcflag.exactla import det, rank
+from exact_oracle import rank
+from gcflag.exactla import det
 from gcflag.flags import FlagType, anticanonical_lambda
 from gcflag.polytopes import (
     build_polytope,

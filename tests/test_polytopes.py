@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcflag.exactla import affine_dim, det, rank, solve
+from exact_oracle import affine_dim, rank, solve, volume_of
+from gcflag.exactla import det
 from gcflag.flags import FlagType, anticanonical_lambda, dimension
+from gcflag import polytopes
 from gcflag.polytopes import (
     GCPolytope,
     build_polytope,
@@ -144,17 +146,17 @@ def test_vertices_partial_flag_against_oracle():
 
 # rational lambda, a generic lambda, Grassmannians and partial flags with
 # pinned entries; each has at most C(m, N) = 2002 facet subsets
-@pytest.mark.parametrize(
-    "flag,lam",
-    [
-        ("1,2|3", (2, Fraction(1, 2), -2)),
-        ("1,2,3|4", (6, 3, -1, -5)),
-        ("2|5", None),
-        ("1,3|5", None),
-        ("3|6", None),
-        ("1,3|4", (2, 0, 0, -2)),
-    ],
-)
+VERTEX_ORACLE_CASES = [
+    ("1,2|3", (2, Fraction(1, 2), -2)),
+    ("1,2,3|4", (6, 3, -1, -5)),
+    ("2|5", None),
+    ("1,3|5", None),
+    ("3|6", None),
+    ("1,3|4", (2, 0, 0, -2)),
+]
+
+
+@pytest.mark.parametrize("flag,lam", VERTEX_ORACLE_CASES)
 def test_vertices_and_facets_against_oracle(flag, lam):
     fl = FlagType.parse(flag)
     poly = build_polytope(fl, lam or anticanonical_lambda(fl))
@@ -163,6 +165,41 @@ def test_vertices_and_facets_against_oracle(flag, lam):
     # every kept inequality is a facet: its face is (N-1)-dimensional
     for j in range(len(poly.facets)):
         assert affine_dim([v for v, act in oracle if j in act]) == poly.N - 1
+
+
+@pytest.mark.parametrize("flag,lam", VERTEX_ORACLE_CASES)
+def test_union_find_rank_matches_oracle(flag, lam, monkeypatch):
+    # every set of normals whose rank build_polytope decides, for its
+    # vertices and for its facets, has union-find rank = the exact rank
+    seen = []
+    join = polytopes._join
+
+    def recording(edges):
+        edges = list(edges)
+        forest = join(edges)
+        seen.append((edges, len(forest)))
+        return forest
+
+    monkeypatch.setattr(polytopes, "_join", recording)
+    fl = FlagType.parse(flag)
+    poly = build_polytope(fl, lam or anticanonical_lambda(fl))
+    index = {pos: a for a, pos in enumerate(poly.coords)}
+
+    def normal(upper, lower):
+        v = [0] * poly.N
+        for node, sign in ((upper, 1), (lower, -1)):
+            if node in index:
+                v[index[node]] += sign
+        return v
+
+    assert len(seen) > len(poly.facets)
+    for edges, got in seen:
+        assert got == rank([normal(*e) for e in edges])
+    # is_reflexive grows its forest over prefixes of the facet list, sets of
+    # normals that need not be tight together anywhere
+    normals = [f.v for f in poly.facets]
+    for k in range(1, len(normals) + 1):
+        assert len(join(poly._facet_ends[:k])) == rank(normals[:k])
 
 
 def test_vertices_2_4_6_certified():
@@ -280,6 +317,8 @@ def test_volume_formula_cases():
         (G24, (1, 1, 0, 0)),
         (FlagType.full(4), (3, 1, -1, -3)),
         (FlagType(4, (1, 3)), (2, 0, 0, -2)),
+        (FlagType.parse("2,4|6"), (3, 3, 0, 0, -3, -3)),
+        (FlagType.full(5), (7, 3, 0, -2, -8)),
     ]
     for fl, lam in cases:
         poly = build_polytope(fl, lam)
@@ -288,6 +327,63 @@ def test_volume_formula_cases():
 
 def test_volume_gr24_cli_example():
     assert volume_formula(G24, [1, 1, 0, 0]) == Fraction(1, 12)
+
+
+def triangulated_volume(poly):
+    """Reference: a pulling triangulation of the vertices, a det per simplex."""
+    verts = poly.vertices()
+    facet_sets = [
+        frozenset(i for i, (_, act) in enumerate(verts) if j in act)
+        for j in range(len(poly.facets))
+    ]
+    return volume_of([v for v, _ in verts], facet_sets)
+
+
+def triangulated_dual_volume(poly):
+    """Reference: the same triangulation of conv{facet normals}, whose facets
+    are the sets of normals at distance -1 from a vertex after the shift."""
+    ok, p = is_reflexive(poly)
+    assert ok
+    normals = [tuple(Fraction(c) for c in f.v) for f in poly.facets]
+    facet_sets = []
+    for w, _ in poly.vertices():
+        ws = tuple(x - y for x, y in zip(w, p))
+        facet_sets.append(
+            frozenset(
+                i for i, v in enumerate(normals) if sum(a * b for a, b in zip(v, ws)) == -1
+            )
+        )
+    return volume_of(normals, facet_sets)
+
+
+# the gc polytope ladder, rational lambda included; its anticanonical 1,2|3,
+# 2|4 and 1,2,3|4 are the flags of acceptance criterion 6
+@pytest.mark.parametrize(
+    "flag,lam",
+    [
+        ("1,2|3", (2, 0, -2)),
+        ("1,2|3", (2, Fraction(1, 2), -2)),
+        ("2|4", None),
+        ("1,2,3|4", (3, 1, -1, -3)),
+        ("1,2,3|4", (6, 3, -1, -5)),
+        ("2|5", None),
+        ("1,3|5", None),
+        ("3|6", None),
+    ],
+)
+def test_volumes_match_triangulation(flag, lam):
+    fl = FlagType.parse(flag)
+    poly = build_polytope(fl, lam or anticanonical_lambda(fl))
+    assert volume(poly) == triangulated_volume(poly)
+    if all(x.denominator == 1 for x in poly.lam) and is_reflexive(poly)[0]:
+        assert dual_volume(poly) == triangulated_dual_volume(poly)
+
+
+# only the dual here: the primal triangulation of this polytope takes minutes
+def test_dual_volume_full5_matches_triangulation():
+    fl = FlagType.full(5)
+    poly = build_polytope(fl, anticanonical_lambda(fl))
+    assert dual_volume(poly) == triangulated_dual_volume(poly) == Fraction(4, 14175)
 
 
 # ---------------------------------------------------------------------------
