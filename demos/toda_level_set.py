@@ -2,7 +2,8 @@
 
 Under the triangular change of variables the potential equals Givental's
 phase function, and the momenta read off at its critical points land on
-the level set D_2 = ... = D_n = 0 of the Toda Hamiltonians.
+the level set D_2 = ... = D_n = 0 of the Toda Hamiltonians, for n = 3
+and for the generic n = 4 weight (5, 2, 0, -4).
 """
 
 import numpy as np
@@ -28,14 +29,14 @@ for n in (2, 3, 4):
     print("  n = %d: |f_q - PO| = %.1e" % (n, abs(f - w)))
 
 print()
-print("level set of the Toda Hamiltonians, n = 3, lambda = (2, 0, -2)")
-pot = build_potential(build_polytope(FlagType.full(3), [2, 0, -2]))
-for r in level_set_check(pot):
-    print(
-        "  y = %s  convention %-10s  max|D_i| = %.2e"
-        % (
-            np.array_str(r["y"], precision=4, suppress_small=True),
-            r["convention"],
-            r["residual"],
-        )
-    )
+print("Toda level set at the critical points, momenta p_i = df/dt_i")
+for lam in ([2, 0, -2], [5, 2, 0, -4]):
+    rep = level_set_check(build_potential(build_polytope(FlagType.full(len(lam)), lam)))
+    worst = max(r["residual"] for r in rep)
+    print("  lambda = %s: %d points, max|D_i| = %.2e" % (lam, len(rep), worst))
+    if len(lam) == 3:
+        for r in rep:
+            print(
+                "    y = %s  max|D_i| = %.2e"
+                % (np.array_str(r["y"], precision=4, suppress_small=True), r["residual"])
+            )

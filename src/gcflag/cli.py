@@ -14,11 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flags import FlagType, anticanonical_lambda, dimension
-from . import degeneration as dg
+from .flags import FlagType
 from . import polytopes as pl
 from . import potential as pt
-from . import system as sy
 from . import toda as td
 
 
@@ -133,7 +131,6 @@ def cmd_toda(args):
             {
                 "y_re": [float(v) for v in r["y"].real],
                 "y_im": [float(v) for v in r["y"].imag],
-                "convention": r["convention"],
                 "residual": r["residual"],
             }
             for r in rep
@@ -144,191 +141,35 @@ def cmd_toda(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _suite_polytope(args):
-    checks = []
-    cases = [
-        (FlagType.full(2), (1, 0)),
-        (FlagType.full(3), (2, 0, -2)),
-        (FlagType.full(3), (3, 1, 0)),
-        (FlagType.full(4), anticanonical_lambda(FlagType.full(4))),
-        (FlagType.grassmannian(2, 4), (1, 1, -1, -1)),
-        (FlagType.grassmannian(2, 4), (2, 2, -2, -2)),
-    ]
-    for flag, lam in cases:
-        poly = pl.build_polytope(flag, lam)
-        vol = pl.volume(poly)
-        want = pl.volume_formula(flag, lam)
-        checks.append(
-            {
-                "name": "volume %s lambda=%s" % (flag, list(map(str, lam))),
-                "passed": vol == want,
-                "residual": 0.0 if vol == want else float(abs(vol - want)),
-            }
-        )
-        if flag.is_full():
-            npts = len(pl.lattice_points(poly))
-            want_n = pl.weyl_dimension(lam)
-            checks.append(
-                {
-                    "name": "lattice count %s lambda=%s" % (flag, list(map(str, lam))),
-                    "passed": npts == want_n,
-                    "residual": abs(npts - want_n),
-                }
-            )
-        dets = _det_check(poly)
-        checks.append(
-            {
-                "name": "cone determinants %s lambda=%s" % (flag, list(map(str, lam))),
-                "passed": dets,
-                "residual": 0.0 if dets else 1.0,
-            }
-        )
-    return checks
-
-
-def _det_check(poly):
-    from itertools import combinations
-
-    for vertex, active in poly.vertices():
-        for sel in combinations(sorted(active), poly.N):
-            try:
-                d = pl.simplicial_cone_determinant(poly, vertex, sel)
-            except (pl.LoopError, pl.RankDeficientError):
-                continue  # no simplicial cone to check
-            if abs(d) != 1:
-                return False
-    return True
-
-
-def _suite_degeneration(args):
-    checks = []
-    flag = FlagType.parse(args.flag) if args.flag else FlagType.full(3)
-    n = flag.n
-    rng = np.random.default_rng(args.seed)
-    worst1 = worst0 = 0.0
-    from itertools import combinations
-
-    for _ in range(args.samples):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for k in range(1, n + 1):
-            for I in combinations(range(1, n + 1), k):
-                q1 = dg.deformed_plucker(z, I, 1.0)
-                det1 = np.linalg.det(z[[i - 1 for i in I]][:, :k])
-                worst1 = max(worst1, abs(q1 - det1) / max(abs(det1), 1e-12))
-                q0 = dg.deformed_plucker(z, I, 0.0)
-                d0 = np.prod([z[I[l] - 1, l] for l in range(k)])
-                worst0 = max(worst0, abs(q0 - d0) / max(abs(d0), 1e-12))
-    checks.append({"name": "q_I(z,1)=det", "passed": worst1 <= 1e-12, "residual": worst1})
-    checks.append({"name": "q_I(z,0)=diag", "passed": worst0 <= 1e-12, "residual": worst0})
-
-    fam = {
-        "1,2|3": "+Z[1]Z[2,3] -Z[2]Z[1,3] +t Z[3]Z[1,2]",
-        "2|4": "+t Z[1,2]Z[3,4] -Z[1,3]Z[2,4] +Z[1,4]Z[2,3]",
-    }
-    rel = fam.get(str(flag))
-    if rel:
-        res = dg.verify_family_equation(flag, rel, samples=args.samples, seed=args.seed)
-        checks.append({"name": "family equation", "passed": res <= 1e-10, "residual": res})
-
-    ok = True
-    for k1 in flag.steps:
-        for k2 in flag.steps:
-            for I in combinations(range(1, n + 1), k1):
-                for J in combinations(range(1, n + 1), k2):
-                    if not dg.binomial_relation_holds(flag, I, J):
-                        ok = False
-    checks.append({"name": "binomial relations", "passed": ok, "residual": 0.0 if ok else 1.0})
-    return checks
-
-
-def _uniform_point(poly, seed):
-    """A uniform random point of the polytope: the GC map of a Haar-random
-    orbit point.  The GC map pushes the Liouville (Haar) measure of the orbit
-    forward to Lebesgue measure on the polytope (Guillemin-Sternberg 1983;
-    Baryshnikov, Probab. Theory Relat. Fields 119 (2001))."""
-    x = sy.random_orbit_point([float(v) for v in poly.lam], seed=seed)
-    return sy.gc_map(x, poly)
-
-
-def _suite_system(args):
-    checks = []
-    cases = [
-        (FlagType.full(3), (2, 0, -2)),
-        (FlagType.full(4), (3, 1, -1, -3)),
-        (FlagType.grassmannian(2, 4), (1, 1, -1, -1)),
-    ]
-    for flag, lam in cases:
-        poly = pl.build_polytope(flag, lam)
-        worst = -1.0
-        inside = True
-        for s in range(args.samples):
-            u = _uniform_point(poly, s)
-            if not poly.contains_float(u, tol=1e-9):
-                inside = False
-        checks.append(
-            {"name": "gc_map containment %s" % flag, "passed": inside, "residual": 0.0 if inside else 1.0}
-        )
-        for t in range(50):
-            cand = _uniform_point(poly, (args.seed, t))
-            y = sy.fiber_point(poly, cand)
-            worst = max(worst, float(np.abs(sy.gc_map(y, poly) - cand).max()))
-        checks.append(
-            {"name": "round trip %s" % flag, "passed": worst <= 1e-8, "residual": worst}
-        )
-    return checks
-
-
-def _suite_toda(args):
-    checks = []
-    ns = [args.n] if args.n else [2, 3]
-    rng = np.random.default_rng(args.seed)
-    for n in ns:
-        flag = FlagType.full(n)
-        lam = sorted(rng.uniform(-2.0, 2.0, n), reverse=True)
-        lam = [Fraction(round(v * 64), 64) for v in lam]
-        poly = pl.build_polytope(flag, lam)
-        pot = pt.build_potential(poly)
-        worst = 0.0
-        for s in range(args.samples):
-            u = _uniform_point(poly, s)
-            x = np.random.default_rng(s).standard_normal(pot.N)
-            lhs = 0.0
-            for v, _, tau in pot.terms:
-                lhs += np.exp(np.dot(v, x) - (np.dot(v, u) - float(tau)))
-            pc = td.gc_to_toda(x, u, [float(v) for v in lam])
-            rhs = td.phase_function(pc)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        checks.append(
-            {"name": "phase identity n=%d" % n, "passed": worst <= 1e-12, "residual": worst}
-        )
-    return checks
-
-
-SUITES = {
-    "polytope": _suite_polytope,
-    "degeneration": _suite_degeneration,
-    "system": _suite_system,
-    "toda": _suite_toda,
-}
-
-
 def cmd_verify(args):
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from . import criteria as cr  # only verify needs the registry; other commands skip its import
+
+    if args.suite != "all" and args.suite not in cr.SUITES:
+        raise ValueError("unknown suite %r (choose all, %s)" % (args.suite, ", ".join(cr.SUITES)))
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be at least 1 (got %d)" % args.samples)
+    if args.n is not None and args.n < 2:
+        raise ValueError("--n must be at least 2 (got %d)" % args.n)
+    opts = {
+        "samples": args.samples,
+        "seed": args.seed,
+        "flag": FlagType.parse(args.flag) if args.flag else None,
+        "n": args.n,
+    }
+    names = list(cr.SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        for c in SUITES[name](args):
-            checks.append(
-                {
-                    "suite": name,
-                    "name": c["name"],
-                    "passed": bool(c["passed"]),
-                    "residual": float(c["residual"]),
-                }
-            )
+        for c in cr.CRITERIA:
+            if c.suite == name:
+                out = c(**opts)
+                checks.append(
+                    {
+                        "suite": name,
+                        "name": c.name,
+                        "passed": bool(out.passed),
+                        "residual": float(out.residual),
+                    }
+                )
     doc = {
         "suites": names,
         "passed": all(c["passed"] for c in checks),
@@ -369,11 +210,16 @@ def main(argv=None):
     common(p)
     p.set_defaults(func=cmd_toda)
 
-    p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("--suite", default="all", choices=["all"] + sorted(SUITES))
-    p.add_argument("--flag", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--samples", type=int, default=100)
+    p = sub.add_parser("verify", help="run the acceptance criteria, grouped into suites")
+    p.add_argument(
+        "--suite", default="all", help="all, polytope, potential, degeneration, system or toda"
+    )
+    p.add_argument("--flag", default=None, help="narrow the degeneration criterion to one flag")
+    p.add_argument("--n", type=int, default=None, help="narrow the Toda identity to one n >= 2")
+    p.add_argument(
+        "--samples", type=int, default=None,
+        help="draw count of the sampled criteria 8-11 (default: the acceptance suite's)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

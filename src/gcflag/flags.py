@@ -21,8 +21,9 @@ class FlagType:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+        steps = self.steps
+        if not isinstance(steps, tuple):
+            raise ValueError("steps must be a tuple, got %r" % (steps,))
         if any(not (0 < s < self.n) for s in steps):
             raise ValueError("steps must lie strictly between 0 and n")
         if any(a >= b for a, b in zip(steps, steps[1:])):

@@ -6,7 +6,7 @@ from det(A + xI) = x^n + sum_i D_i x^{n-i}.  The phase function
 f_q = sum (X_ij + Y_ij) on the torus Y_q coincides with the potential
 function at T = e^{-1} under a linear change of variables on the
 triangular T-coordinates, and at critical points the momenta
-p_i = q_i df/dq_i should land on the level set D_2 = ... = D_n = 0.
+p_i = df/dt_i land on the level set D_2 = ... = D_n = 0.
 """
 
 from dataclasses import dataclass
@@ -184,9 +184,11 @@ def momenta(pc):
 def level_set_check(pot, T=np.exp(-1), seed=0):
     """Evaluate the Toda Hamiltonians at every critical point of the potential.
 
-    The momenta come from the phase-function q-derivatives, p_0 is fixed by
-    D_1 = 0, and a sign/order convention sweep is applied; the report lists
-    per-point best residuals max_i |D_i|, i >= 2, and the winning convention.
+    The Lax diagonal holds the momenta of Givental-Kim's quantum Toda
+    lattice (Comm. Math. Phys. 168, 1995), p_i = df/dt_i = g_{i+1}, the
+    symbol of hbar d/dt_i: q_i = e^{t_i - t_{i-1}} pins t_i to
+    lambda_{i+1}, and D_1 = sum g = 0 holds identically.  The report lists
+    per point the residual max_i |D_i|, i >= 2, and all of D.
     """
     from .potential import critical_points
 
@@ -194,50 +196,19 @@ def level_set_check(pot, T=np.exp(-1), seed=0):
         raise ValueError("the Toda correspondence needs a full flag")
     if abs(T - np.exp(-1)) > 1e-12:
         raise ValueError("the change of variables is stated at T = e^{-1}")
-    n = pot.flag.n
     lam = [float(x) for x in pot.lam]
-    q = tuple(np.exp(lam[i] - lam[i - 1]) for i in range(1, n))
-    pts = critical_points(pot, T, seed=seed)
+    q = tuple(np.exp(lam[i] - lam[i - 1]) for i in range(1, len(lam)))
     report = []
-    for cp in pts:
+    for cp in critical_points(pot, T, seed=seed):
         s = np.log(cp.y.astype(complex))
         # T_{ij} = u_{ij} - x_{ij} = -log y_{ij} at T = e^{-1}
         pc = gc_to_toda(s, np.zeros_like(s), lam)
-        best = None
-        for name, p_vec, q_vec in _conventions(pc, q):
-            state = TodaState(p=tuple(p_vec), q=tuple(q_vec))
-            D = toda_hamiltonians(state)
-            resid = max(abs(D[i]) for i in range(1, n))
-            if best is None or resid < best[1]:
-                best = (name, resid, [complex(d) for d in D])
+        D = toda_hamiltonians(TodaState(p=tuple(boundary_gradients(pc)), q=q))
         report.append(
             {
                 "y": cp.y,
-                "convention": best[0],
-                "residual": float(best[1]),
-                "D": best[2],
+                "residual": float(max(abs(d) for d in D[1:])),
+                "D": [complex(d) for d in D],
             }
         )
     return report
-
-
-def _conventions(pc, q):
-    """Momentum assembly sweep for the Lax diagonal.
-
-    Two families: "grad" takes p_i = df/dt_i = g_{i+1} (the symbol of the
-    quantum operator hbar d/dt_i; q_i = e^{t_i - t_{i-1}} pins t_i to
-    lambda_{i+1}, and D_1 = sum g = 0 holds identically), "cumsum" takes
-    p_i = q_i df/dq_i = -(g_1 + ... + g_i) with p_0 forced by D_1 = 0.
-    Each family is tried with both signs and with index reversal.
-    """
-    g = boundary_gradients(pc)
-    P = momenta(pc)
-    bases = [
-        ("grad", list(g)),
-        ("cumsum", [-sum(P)] + list(P)),
-    ]
-    for bname, base in bases:
-        for sgn, sname in ((1, "+"), (-1, "-")):
-            pv = [sgn * x for x in base]
-            yield sname + bname, pv, list(q)
-            yield sname + bname + "-rev", list(reversed(pv)), list(reversed(q))

@@ -1,453 +1,69 @@
-"""Acceptance suite: one check per criterion, one printed line per check.
+"""Acceptance suite: one test per criterion, one printed line per test.
 
+The criteria live in `gcflag.criteria`, where `gc verify` runs them too.
 Run with plain pytest; the pass/fail lines are printed outside the capture
 so they always appear:
 
     pytest tests/test_acceptance.py -v
 """
 
-import time
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-
-import numpy as np
-import pytest
-
-from gcflag.degeneration import (
-    binomial_relation_holds,
-    deformed_plucker,
-    moment_mu,
-    moment_nu,
-    monomial_embedding,
-    random_torus_point,
-    verify_family_equation,
-)
-from exact_oracle import rank
-from gcflag.exactla import det
-from gcflag.flags import FlagType, anticanonical_lambda
-from gcflag.polytopes import (
-    build_polytope,
-    dual_volume,
-    free_positions,
-    is_reflexive,
-    lattice_points,
-    selection_is_loop_free,
-    volume,
-    volume_formula,
-    weyl_dimension,
-)
-from gcflag.potential import (
-    build_potential,
-    cohomology_rank,
-    critical_points,
-    critical_valuation,
-    positive_real_minimum,
-)
-from gcflag.system import eigenvalues_desc, fiber_point, gc_map, random_orbit_point
-from gcflag.toda import gc_to_toda, level_set_check, phase_function
-
-EINV = float(np.exp(-1.0))
+from gcflag import criteria
 
 
-def report(capsys, num, ok, desc):
+def report(capsys, num, outcome):
     with capsys.disabled():
-        print("[%s] criterion %2d: %s" % ("PASS" if ok else "FAIL", num, desc))
-    assert ok, "criterion %d: %s" % (num, desc)
-
-
-def flag_of(lam):
-    n = len(lam)
-    return FlagType(n, tuple(i for i in range(1, n) if lam[i - 1] != lam[i]))
-
-
-def fixed_case_set():
-    """>= 20 fixed cases: all weakly decreasing non-constant lambda in
-    {0..3}^n for n = 2..4, five n = 5 cases, and the three Grassmannians."""
-    cases = set()
-    for n in (2, 3, 4):
-        for lam in combinations_with_replacement(range(3, -1, -1), n):
-            lam = tuple(sorted(lam, reverse=True))
-            if len(set(lam)) > 1:
-                cases.add(lam)
-    cases = sorted(cases, key=lambda l: (len(l), l))
-    cases += [
-        (1, 1, 0, 0, 0),
-        (1, 1, 1, 0, 0),
-        (2, 1, 0, 0, 0),
-        (2, 2, 1, 1, 0),
-        (3, 2, 1, 0, 0),
-    ]
-    cases += [(2, 2, -2, -2), (3, 3, -2, -2, -2), (2, 2, 2, -3, -3)]
-    return cases
-
-
-def random_interior_point(poly, rng):
-    """Interior point by sampling each pattern row inside its interlacing
-    interval (rejection sampling in a box is hopeless in high dimension)."""
-    n = poly.flag.n
-    lam = [float(v) for v in poly.lam]
-    vals = {(n, i): lam[i - 1] for i in range(1, n + 1)}
-    for k in range(n - 1, 0, -1):
-        for i in range(1, k + 1):
-            hi = vals[(k + 1, i)]
-            lo = vals[(k + 1, i + 1)]
-            if hi == lo:
-                vals[(k, i)] = hi
-            else:
-                vals[(k, i)] = lo + (hi - lo) * rng.uniform(0.2, 0.8)
-    return np.array([vals[pos] for pos in poly.coords])
-
-
-def all_flag_types(n_max):
-    out = []
-    for n in range(2, n_max + 1):
-        for r in range(1, n):
-            for steps in combinations(range(1, n), r):
-                out.append(FlagType(n, steps))
-    return out
-
-
-# ---------------------------------------------------------------------------
+        verdict = "PASS" if outcome.passed else "FAIL"
+        print("[%s] criterion %2d: %s" % (verdict, num, outcome.detail))
+    assert outcome.passed, "criterion %d: %s" % (num, outcome.detail)
 
 
 def test_criterion_01_facets(capsys):
-    t0 = time.monotonic()
-    p1 = build_polytope(FlagType.full(3), [2, 0, -2])
-    got1 = [(f.v, f.tau) for f in p1.facets]
-    want1 = [
-        ((-1, 0, 0), Fraction(-2)),
-        ((1, 0, 0), Fraction(0)),
-        ((0, -1, 0), Fraction(0)),
-        ((0, 1, 0), Fraction(-2)),
-        ((1, 0, -1), Fraction(0)),
-        ((0, -1, 1), Fraction(0)),
-    ]
-    p2 = build_polytope(FlagType.grassmannian(2, 4), [1, 1, -1, -1])
-    got2 = [(f.v, f.tau) for f in p2.facets]
-    want2 = [
-        ((0, -1, 0, 0), Fraction(-1)),
-        ((-1, 1, 0, 0), Fraction(0)),
-        ((1, 0, -1, 0), Fraction(0)),
-        ((0, 0, 1, 0), Fraction(-1)),
-        ((0, 1, 0, -1), Fraction(0)),
-        ((0, 0, -1, 1), Fraction(0)),
-    ]
-    dt = time.monotonic() - t0
-    ok = got1 == want1 and got2 == want2 and dt < 1.0
-    report(capsys, 1, ok, "six-facet lists reproduced exactly (%.2fs)" % dt)
+    report(capsys, 1, criteria.facets())
 
 
 def test_criterion_02_critical_f123(capsys):
-    t0 = time.monotonic()
-    pot = build_potential(build_polytope(FlagType.full(3), [2, 0, -2]))
-    pts = critical_points(pot, EINV)
-    # closed forms: y3 a cube root of Q1 Q2 Q3 = 1, y2 = +-sqrt(Q3 (y3+Q2)),
-    # y1 = y3^2 / y2, with Q_i = T^{lambda_i}
-    T = EINV
-    Q1, Q2, Q3 = T**2, 1.0, T**-2
-    closed = []
-    for k in range(3):
-        y3 = np.exp(2j * np.pi * k / 3)
-        for sgn in (1, -1):
-            y2 = sgn * np.sqrt(complex(Q3 * (y3 + Q2)))
-            closed.append(np.array([y3**2 / y2, y2, y3]))
-    ok = len(pts) == 6 and all(p.nondegenerate for p in pts)
-    worst = 0.0
-    for c in closed:
-        d = min(
-            np.abs(p.y - c).max() / np.abs(c).max() for p in pts
-        )
-        worst = max(worst, d)
-    ok = ok and worst <= 1e-8
-    vals_ok = True
-    for p in pts:
-        v = critical_valuation(pot, p)
-        vals_ok = vals_ok and np.allclose(v, [1, -1, 0], atol=1e-3)
-    dt = time.monotonic() - t0
-    ok = ok and vals_ok and dt < 10.0
-    report(
-        capsys, 2, ok,
-        "F(1,2,3): 6 points match closed forms (worst %.1e), "
-        "valuations (1,-1,0) (%.1fs)" % (worst, dt),
-    )
+    report(capsys, 2, criteria.critical_f123())
 
 
 def test_criterion_03_critical_gr24(capsys):
-    t0 = time.monotonic()
-    lam = [1, 1, -1, -1]
-    pot = build_potential(build_polytope(FlagType.grassmannian(2, 4), lam))
-    pts = critical_points(pot, EINV)
-    T = EINV
-    Q1, Q3 = T ** 1, T ** -1
-    closed = []
-    for s1 in (1, -1):
-        y1 = s1 * np.sqrt(complex(Q1 * Q3))
-        for s3 in (1, -1):
-            y3 = s3 * np.sqrt(complex(2 * Q3 * y1))
-            y2 = Q1 * Q3 / y3
-            closed.append(np.array([y1, y2, y3, y1]))
-    ok = len(pts) == 4 and all(p.nondegenerate for p in pts)
-    worst = 0.0
-    for c in closed:
-        d = min(np.abs(p.y - c).max() / np.abs(c).max() for p in pts)
-        worst = max(worst, d)
-    ok = ok and worst <= 1e-8 and len(pts) < cohomology_rank(pot.flag) == 6
-    # valuation u2 = (3 lam1 + lam3)/4; the paper's u3 line is settled by
-    # the extrapolation oracle at u3 = (lam1 + 3 lam3)/4
-    u2_want = (3 * lam[0] + lam[2]) / 4
-    u3_want = (lam[0] + 3 * lam[2]) / 4
-    vals_ok = True
-    for p in pts:
-        v = critical_valuation(pot, p)
-        vals_ok = vals_ok and abs(v[1] - u2_want) <= 1e-3
-        vals_ok = vals_ok and abs(v[2] - u3_want) <= 1e-3
-    dt = time.monotonic() - t0
-    ok = ok and vals_ok and dt < 10.0
-    report(
-        capsys, 3, ok,
-        "Gr(2,4): 4 < 6 points match closed forms (worst %.1e), "
-        "u2 = (3l1+l3)/4, u3 = (l1+3l3)/4 (%.1fs)" % (worst, dt),
-    )
+    report(capsys, 3, criteria.critical_gr24())
 
 
 def test_criterion_04_lattice_counts(capsys):
-    t0 = time.monotonic()
-    cases = fixed_case_set()
-    ok = len(cases) >= 20
-    for lam in cases:
-        poly = build_polytope(flag_of(lam), lam)
-        if len(lattice_points(poly)) != weyl_dimension(lam):
-            ok = False
-    dt = time.monotonic() - t0
-    ok = ok and dt < 60.0
-    report(
-        capsys, 4, ok,
-        "lattice counts = Weyl dimension on %d cases (%.1fs)" % (len(cases), dt),
-    )
+    report(capsys, 4, criteria.lattice_counts())
 
 
 def test_criterion_05_volumes(capsys):
-    t0 = time.monotonic()
-    cases = fixed_case_set()
-    ok = True
-    for lam in cases:
-        fl = flag_of(lam)
-        if volume(build_polytope(fl, lam)) != volume_formula(fl, lam):
-            ok = False
-    dt = time.monotonic() - t0
-    ok = ok and dt < 60.0
-    report(
-        capsys, 5, ok,
-        "triangulation volume = closed form on %d cases (%.1fs)" % (len(cases), dt),
-    )
+    report(capsys, 5, criteria.volumes())
 
 
 def test_criterion_06_reflexivity(capsys):
-    from math import factorial
-
-    ok = True
-    for fl in [FlagType.full(3), FlagType.full(4), FlagType.grassmannian(2, 4)]:
-        lam = anticanonical_lambda(fl)
-        poly = build_polytope(fl, lam)
-        refl, p = is_reflexive(poly)
-        ok = ok and refl
-        want_p = tuple(Fraction(k - 2 * i + 1) for (k, i) in poly.coords)
-        ok = ok and p == want_p
-        N, n = poly.N, fl.n
-        if fl.is_full():
-            ok = ok and dual_volume(poly) == Fraction(2**N, factorial(N))
-        else:
-            ok = ok and dual_volume(poly) == Fraction(
-                n * 2 ** (N - (n - 1)), factorial(N)
-            )
-    report(
-        capsys, 6, ok,
-        "anticanonical polytopes reflexive, interior k-2i+1, dual volumes exact",
-    )
+    report(capsys, 6, criteria.reflexivity())
 
 
 def test_criterion_07_determinants(capsys):
-    t0 = time.monotonic()
-    ok = True
-    checked = 0
-    for fl in all_flag_types(4):
-        poly = build_polytope(fl, anticanonical_lambda(fl))
-        for vertex, active in poly.vertices():
-            for sel in combinations(sorted(active), poly.N):
-                if not selection_is_loop_free(poly, sel):
-                    continue
-                rows = [[Fraction(c) for c in poly.facets[j].v] for j in sel]
-                if rank(rows) < poly.N:
-                    continue
-                checked += 1
-                if abs(det(rows)) != 1:
-                    ok = False
-    dt = time.monotonic() - t0
-    ok = ok and dt < 60.0
-    report(
-        capsys, 7, ok,
-        "|det| = 1 for %d loop-free full-rank selections, all flags n <= 4 "
-        "(%.1fs)" % (checked, dt),
-    )
+    report(capsys, 7, criteria.determinants())
 
 
 def test_criterion_08_degeneration(capsys):
-    rng = np.random.default_rng(0)
-    worst1 = worst0 = 0.0
-    for n in (2, 3, 4, 5):
-        for _ in range(100 // 4):
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for k in range(1, n + 1):
-                for I in combinations(range(1, n + 1), k):
-                    q1 = deformed_plucker(z, I, 1.0)
-                    d1 = np.linalg.det(z[[i - 1 for i in I]][:, :k])
-                    worst1 = max(worst1, abs(q1 - d1) / max(abs(d1), 1e-12))
-                    q0 = deformed_plucker(z, I, 0.0)
-                    d0 = np.prod([z[I[l] - 1, l] for l in range(k)])
-                    worst0 = max(worst0, abs(q0 - d0) / max(abs(d0), 1e-12))
-    fam3 = verify_family_equation(
-        FlagType.full(3), "+Z[1]Z[2,3] -Z[2]Z[1,3] +t Z[3]Z[1,2]", samples=100
-    )
-    fam4 = verify_family_equation(
-        FlagType.grassmannian(2, 4),
-        "+t Z[1,2]Z[3,4] -Z[1,3]Z[2,4] +Z[1,4]Z[2,3]",
-        samples=100,
-    )
-    binom_ok = True
-    for fl in [FlagType.full(5), FlagType.grassmannian(2, 5), FlagType.grassmannian(2, 4)]:
-        for k1 in fl.steps:
-            for k2 in fl.steps:
-                for I in combinations(range(1, fl.n + 1), k1):
-                    for J in combinations(range(1, fl.n + 1), k2):
-                        if not binomial_relation_holds(fl, I, J):
-                            binom_ok = False
-    ok = (
-        worst1 <= 1e-12
-        and worst0 <= 1e-12
-        and fam3 <= 1e-10
-        and fam4 <= 1e-10
-        and binom_ok
-    )
-    report(
-        capsys, 8, ok,
-        "q_I endpoints (%.1e, %.1e), family equations (%.1e, %.1e), "
-        "binomials exact n <= 5" % (worst1, worst0, fam3, fam4),
-    )
+    report(capsys, 8, criteria.degeneration())
 
 
 def test_criterion_09_containment(capsys):
-    cases = [
-        (FlagType.full(3), [2.0, 0.0, -2.0]),
-        (FlagType.full(4), [3.0, 1.0, -1.0, -3.0]),
-        (FlagType.full(5), [4.0, 2.0, 0.0, -2.0, -4.0]),
-        (FlagType.grassmannian(2, 4), [1.0, 1.0, -1.0, -1.0]),
-    ]
-    inside = True
-    for fl, lam in cases:
-        poly = build_polytope(fl, [int(v) for v in lam])
-        for seed in range(1000):
-            u = gc_map(random_orbit_point(lam, seed=seed), poly)
-            if not poly.contains_float(u, tol=1e-9):
-                inside = False
-    worst = 0.0
-    for fl, lam in cases:
-        poly = build_polytope(fl, [int(v) for v in lam])
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            u = random_interior_point(poly, rng)
-            x = fiber_point(poly, u)
-            worst = max(worst, float(np.abs(gc_map(x, poly) - u).max()))
-    ok = inside and worst <= 1e-8
-    report(
-        capsys, 9, ok,
-        "4000 gc_map samples inside, 200 round trips (worst %.1e)" % worst,
-    )
+    report(capsys, 9, criteria.containment())
 
 
 def test_criterion_10_moment_maps(capsys):
-    worst = 0.0
-    for fl, lam in [
-        (FlagType.full(3), [2.0, 0.0, -2.0]),
-        (FlagType.grassmannian(2, 4), [1.0, 1.0, -1.0, -1.0]),
-    ]:
-        for seed in range(100):
-            Z = monomial_embedding(random_torus_point(fl, seed=seed))
-            for (m, j) in free_positions(fl):
-                ev = eigenvalues_desc(moment_mu(Z, m, lam))
-                nu = moment_nu(Z, (m, j), lam)
-                worst = max(worst, abs(ev[j - 1] - nu))
-    ok = worst <= 1e-9
-    report(
-        capsys, 10, ok,
-        "spec(mu) matches nu~ per ladder box on 200 toric points "
-        "(worst %.1e)" % worst,
-    )
+    report(capsys, 10, criteria.moment_maps())
 
 
 def test_criterion_11_toda_identity(capsys):
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for n in (2, 3, 4):
-        fl = FlagType.full(n)
-        for _ in range(5):
-            lam_q = sorted(
-                {Fraction(int(v), 16) for v in rng.integers(-48, 48, 4 * n)},
-                reverse=True,
-            )[:n]
-            pot = build_potential(build_polytope(fl, lam_q))
-            for _ in range(20):
-                u = rng.standard_normal(pot.N)
-                x = rng.standard_normal(pot.N)
-                pc = gc_to_toda(x, u, [float(v) for v in lam_q])
-                f = phase_function(pc)
-                w = pot.value(np.asarray(x - u, dtype=complex), -1.0)
-                worst = max(worst, abs(f - w) / max(1.0, abs(f)))
-    pot3 = build_potential(build_polytope(FlagType.full(3), [2, 0, -2]))
-    count = len(critical_points(pot3, EINV))
-    ok = worst <= 1e-12 and count == 6
-    report(
-        capsys, 11, ok,
-        "potential = phase function at T=1/e, 300 seeds (worst %.1e); "
-        "n=3 count %d = 3!" % (worst, count),
-    )
+    report(capsys, 11, criteria.toda_identity())
 
 
 def test_criterion_12_positive_minimum(capsys):
-    ok = True
-    worst = 0.0
-    for lam in fixed_case_set():
-        fl = flag_of(lam)
-        poly = build_polytope(fl, lam)
-        pot = build_potential(poly)
-        cp = positive_real_minimum(pot, EINV)
-        worst = max(worst, cp.residual)
-        if cp.residual > 1e-10:
-            ok = False
-        if not poly.contains_float(np.asarray(cp.valuation), tol=-1e-6):
-            ok = False
-    report(
-        capsys, 12, ok,
-        "positive real minimum critical (worst %.1e), valuation strictly "
-        "interior, all %d cases" % (worst, len(fixed_case_set())),
-    )
+    report(capsys, 12, criteria.positive_minimum())
 
 
 def test_criterion_13_level_set(capsys):
-    # exploratory: emitted always, cannot fail the build
-    pot = build_potential(build_polytope(FlagType.full(3), [2, 0, -2]))
-    rep = level_set_check(pot)
-    worst = max(r["residual"] for r in rep)
-    achieved = worst <= 1e-6
-    conv = sorted({r["convention"] for r in rep})
-    with capsys.disabled():
-        print(
-            "[PASS] criterion 13: level-set diagnostic, n=3: %d points, "
-            "max|D_i| = %.2e via %s%s"
-            % (
-                len(rep),
-                worst,
-                ",".join(conv),
-                "" if achieved else " (documented residual; no convention reached 1e-6)",
-            )
-        )
-    assert len(rep) == 6
+    report(capsys, 13, criteria.level_set())

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -103,7 +104,6 @@ def test_toda_command(capsys):
     doc = json.loads(out)
     assert doc["critical_count"] == 6
     assert doc["max_residual"] < 1e-6
-    assert all("grad" in p["convention"] for p in doc["points"])
 
 
 def test_verify_suites(capsys):
@@ -126,6 +126,45 @@ def test_verify_toda_suite_n4(capsys):
     code, out = run(capsys, "verify", "--suite", "toda", "--n", "4", "--samples", "200")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_all_runs_the_acceptance_criteria(capsys):
+    import test_acceptance
+    from gcflag.criteria import CRITERIA
+
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    tests = {n for n in vars(test_acceptance) if n.startswith("test_criterion_")}
+    assert {"test_criterion_" + c["name"] for c in doc["checks"]} == tests
+    assert len(doc["checks"]) == len(CRITERIA) == 13
+    for c in CRITERIA:
+        body = inspect.getsource(getattr(test_acceptance, "test_criterion_" + c.name))
+        assert "criteria.%s()" % c.run.__name__ in body
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_refuses_samples_below_one(capsys, samples):
+    code = main(["verify", "--suite", "system", "--samples", samples])
+    err = capsys.readouterr()
+    assert code == 2
+    assert "--samples must be at least 1" in err.err and err.out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_refuses_n_below_two(capsys, n):
+    code = main(["verify", "--suite", "toda", "--n", n])
+    err = capsys.readouterr()
+    assert code == 2
+    assert "--n must be at least 2" in err.err and err.out == ""
+
+
+def test_verify_refuses_unknown_suite(capsys):
+    code = main(["verify", "--suite", "bogus"])
+    err = capsys.readouterr()
+    assert code == 2
+    assert "unknown suite 'bogus'" in err.err and err.out == ""
 
 
 def test_potential_command_2_4_6(capsys):

@@ -31,6 +31,13 @@ def test_constructors():
     assert not FlagType.grassmannian(2, 5).is_full()
 
 
+def test_steps_must_be_a_tuple():
+    for steps in ([1, 2], range(1, 3), "12"):
+        with pytest.raises(ValueError, match="steps must be a tuple"):
+            FlagType(3, steps)
+    assert FlagType(3, (1, 2)) == FlagType.full(3)
+
+
 def test_block_structure():
     fl = FlagType(5, (2, 4))
     assert fl.dims == (0, 2, 4, 5)

@@ -160,7 +160,6 @@ def test_level_set_n2_exact():
     assert len(rep) == 2
     for r in rep:
         assert r["residual"] < 1e-14
-        assert "grad" in r["convention"]
 
 
 def test_level_set_n3():
@@ -169,7 +168,6 @@ def test_level_set_n3():
     assert len(rep) == 6  # 3! critical points
     for r in rep:
         assert r["residual"] < 1e-6
-        assert "grad" in r["convention"]
         assert len(r["D"]) == 3
 
 
