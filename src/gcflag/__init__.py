@@ -20,6 +20,7 @@ from .polytopes import (
     free_positions,
     interior_lattice_points,
     is_reflexive,
+    lattice_point_count,
     lattice_points,
     polytope_from_json,
     polytope_to_json,

@@ -9,10 +9,9 @@ failure or failed verification, 2 invalid input.
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .flags import FlagType
 from . import polytopes as pl
@@ -26,7 +25,7 @@ def parse_lambda(text):
 
 def parse_T(text):
     if text == "e-1":
-        return float(np.exp(-1))
+        return math.exp(-1)
     val = float(text)
     if not 0 < val < 1:
         raise ValueError("T must lie in (0, 1)")
@@ -56,8 +55,7 @@ def cmd_polytope(args):
     doc["volume"] = pl.frac_str(pl.volume(poly))
     doc["volume_formula"] = pl.frac_str(pl.volume_formula(flag, poly.lam))
     if all(x.denominator == 1 for x in poly.lam):
-        pts = pl.lattice_points(poly)
-        doc["lattice_point_count"] = len(pts)
+        doc["lattice_point_count"] = pl.lattice_point_count(poly)
         if flag.is_full():
             doc["weyl_dimension"] = pl.weyl_dimension(poly.lam)
         ok, p = pl.is_reflexive(poly)
@@ -69,7 +67,7 @@ def cmd_polytope(args):
             with open(args.csv, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["u%d" % (i + 1) for i in range(poly.N)])
-                for row in pts:
+                for row in pl.lattice_points(poly):
                     w.writerow([int(x) for x in row])
     emit(doc, args.out)
     return 0
@@ -111,7 +109,7 @@ def cmd_critical(args):
         "y": [float(x) for x in posmin.y.real],
         "valuation": [float(x) for x in posmin.valuation],
         "interior": bool(
-            poly.contains_float(np.asarray(posmin.valuation), -1e-6)
+            poly.contains_float(posmin.valuation, -1e-6)
         ),
         "nondegenerate": posmin.nondegenerate,
     }
@@ -146,8 +144,14 @@ def cmd_verify(args):
 
     if args.suite != "all" and args.suite not in cr.SUITES:
         raise ValueError("unknown suite %r (choose all, %s)" % (args.suite, ", ".join(cr.SUITES)))
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("--samples must be at least 1 (got %d)" % args.samples)
+    names = list(cr.SUITES) if args.suite == "all" else [args.suite]
+    chosen = [c for name in names for c in cr.CRITERIA if c.suite == name]
+    given = [o for o in ("flag", "n", "samples") if getattr(args, o) is not None]
+    unused = ["--" + o for o in given if not any(o in c.options for c in chosen)]
+    if unused:
+        raise ValueError("no criterion of suite %s takes %s" % (args.suite, ", ".join(unused)))
+    if args.samples is not None:
+        cr.check_samples(args.samples)
     if args.n is not None and args.n < 2:
         raise ValueError("--n must be at least 2 (got %d)" % args.n)
     opts = {
@@ -156,20 +160,17 @@ def cmd_verify(args):
         "flag": FlagType.parse(args.flag) if args.flag else None,
         "n": args.n,
     }
-    names = list(cr.SUITES) if args.suite == "all" else [args.suite]
     checks = []
-    for name in names:
-        for c in cr.CRITERIA:
-            if c.suite == name:
-                out = c(**opts)
-                checks.append(
-                    {
-                        "suite": name,
-                        "name": c.name,
-                        "passed": bool(out.passed),
-                        "residual": float(out.residual),
-                    }
-                )
+    for c in chosen:
+        out = c(**opts)
+        checks.append(
+            {
+                "suite": c.suite,
+                "name": c.name,
+                "passed": bool(out.passed),
+                "residual": float(out.residual),
+            }
+        )
     doc = {
         "suites": names,
         "passed": all(c["passed"] for c in checks),

@@ -16,6 +16,7 @@ import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 
@@ -46,10 +47,20 @@ class Criterion:
     suite: str
     run: object
 
+    @cached_property
+    def options(self):
+        return inspect.signature(self.run).parameters
+
     def __call__(self, **opts):
         """Run with those of opts that the criterion takes; None means unset."""
-        params = inspect.signature(self.run).parameters
-        return self.run(**{k: v for k, v in opts.items() if k in params and v is not None})
+        return self.run(**{k: v for k, v in opts.items() if k in self.options and v is not None})
+
+
+def check_samples(samples):
+    """Refuse a draw count below 1 for the sampled criteria 8-11, which
+    would pass on no draws having checked nothing."""
+    if samples < 1:
+        raise ValueError("--samples must be at least 1 (got %d)" % samples)
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +225,20 @@ def critical_gr24():
 
 
 def lattice_counts():
-    """Lattice points of the GC polytope = the Weyl dimension of lambda."""
+    """Lattice points of the GC polytope, listed and counted, = the Weyl dimension."""
     t0 = time.monotonic()
     worst = max(
-        abs(len(pl.lattice_points(pl.build_polytope(fl, lam))) - pl.weyl_dimension(lam))
+        abs(count - pl.weyl_dimension(lam))
         for fl, lam in POLYTOPE_CASES
+        for poly in [pl.build_polytope(fl, lam)]
+        for count in (len(pl.lattice_points(poly)), pl.lattice_point_count(poly))
     )
     dt = time.monotonic() - t0
     ok = len(POLYTOPE_CASES) >= 20 and worst == 0 and dt < 60.0
     return Outcome(
         ok, float(worst),
-        "lattice counts = Weyl dimension on %d cases (%.1fs)" % (len(POLYTOPE_CASES), dt),
+        "lattice points listed = counted = Weyl dimension on %d cases (%.1fs)"
+        % (len(POLYTOPE_CASES), dt),
     )
 
 
@@ -285,6 +299,7 @@ def degeneration(samples=100, seed=0, flag=None):
     """q_I(z, t) at t = 1 and t = 0 on `samples` random z (split over
     n = 2..5), the t-deformed Pluecker relations on `samples` random (z, t),
     and the binomial relations exactly; `flag` narrows all three to it."""
+    check_samples(samples)
     flags = DEGENERATION_FLAGS if flag is None else [flag]
     ns = (2, 3, 4, 5) if flag is None else (flag.n,)
     rng = np.random.default_rng(seed)
@@ -324,6 +339,7 @@ def degeneration(samples=100, seed=0, flag=None):
 def containment(samples=1000, seed=0):
     """`samples` uniform points per case inside the polytope, and the fiber
     round trip gc_map(fiber_point(u)) = u on the first ROUND_TRIPS of them."""
+    check_samples(samples)
     inside = True
     worst = 0.0
     trips = 0
@@ -344,6 +360,7 @@ def containment(samples=1000, seed=0):
 
 def moment_maps(samples=100, seed=0):
     """The ladder-box spectra of mu match nu~ at `samples` toric points per case."""
+    check_samples(samples)
     worst = 0.0
     cases = ((F3, [2.0, 0.0, -2.0]), (G24, [1.0, 1.0, -1.0, -1.0]))
     for fl, lam in cases:
@@ -363,6 +380,7 @@ def toda_identity(samples=100, seed=0, n=None):
     """Potential = phase function at T = 1/e on `samples` random (u, x) per n,
     over five random lambdas each; n = 2, 3, 4 unless `n` is given.  Also
     F(1,2,3) at (2,0,-2) has 3! critical points."""
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     worst = 0.0
     draws = 0

@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .flags import meet_join, normalize_index_set
 from .polytopes import free_positions, is_pinned
 

@@ -26,8 +26,7 @@ from functools import cache, cached_property
 from itertools import product
 from math import factorial
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .exactla import det, to_fraction
 from .flags import FlagType
 
@@ -352,10 +351,7 @@ def lattice_points(poly):
     Each entry ranges over the integers between its two upper neighbours
     (_patterns); points are sorted as ints and made Fractions once per value.
     """
-    lam = poly.lam
-    if any(x.denominator != 1 for x in lam):
-        raise ValueError("lattice enumeration requires integral lambda")
-    top = [int(x) for x in lam]
+    top = _integral_top(poly)
     at = [_cell(poly.flag, pos) for pos in poly.coords]
     points = sorted(
         tuple(rows[a][b] for a, b in at)
@@ -363,6 +359,28 @@ def lattice_points(poly):
     )
     exact = {x: Fraction(x) for x in range(top[-1], top[0] + 1)}
     return [tuple(exact[x] for x in p) for p in points]
+
+
+def lattice_point_count(poly):
+    """len(lattice_points(poly)) without the points: count(row) is the sum
+    of count(r) over the integral rows r interlacing below row, memoized on
+    the row.  It uses no Weyl formula, so weyl_dimension checks it.
+    """
+
+    @cache
+    def count(row):
+        if len(row) == 1:
+            return 1
+        return sum(map(count, product(*(range(lo, hi + 1) for hi, lo in zip(row, row[1:])))))
+
+    return count(_integral_top(poly))
+
+
+def _integral_top(poly):
+    """lambda as a tuple of ints, the top row of every lattice point."""
+    if any(x.denominator != 1 for x in poly.lam):
+        raise ValueError("lattice enumeration requires integral lambda")
+    return tuple(int(x) for x in poly.lam)
 
 
 # ---------------------------------------------------------------------------

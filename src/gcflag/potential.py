@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .polytopes import frac_str
 
 
@@ -111,12 +110,12 @@ def build_potential(poly):
 
 @dataclass
 class CriticalPoint:
-    y: np.ndarray  # complex, at the fixed T
+    y: "np.ndarray"  # complex, at the fixed T
     T: float
     residual: float
     hessian_det: complex
     nondegenerate: bool
-    valuation: np.ndarray = None
+    valuation: "np.ndarray" = None
     valuation_residual: float = None
 
 

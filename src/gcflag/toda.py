@@ -9,10 +9,11 @@ triangular T-coordinates, and at critical points the momenta
 p_i = df/dt_i land on the level set D_2 = ... = D_n = 0.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from ._lazy import numpy as np
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def momenta(pc):
     return -np.cumsum(g)[:-1]
 
 
-def level_set_check(pot, T=np.exp(-1), seed=0):
+def level_set_check(pot, T=math.exp(-1), seed=0):
     """Evaluate the Toda Hamiltonians at every critical point of the potential.
 
     The Lax diagonal holds the momenta of Givental-Kim's quantum Toda

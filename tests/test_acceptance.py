@@ -7,6 +7,8 @@ so they always appear:
     pytest tests/test_acceptance.py -v
 """
 
+import pytest
+
 from gcflag import criteria
 
 
@@ -67,3 +69,11 @@ def test_criterion_12_positive_minimum(capsys):
 
 def test_criterion_13_level_set(capsys):
     report(capsys, 13, criteria.level_set())
+
+
+@pytest.mark.parametrize("fn", ["degeneration", "containment", "moment_maps", "toda_identity"])
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_criteria_refuse_no_draws(fn, samples):
+    # on no draws a sampled criterion would pass having checked nothing
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        getattr(criteria, fn)(samples=samples)

@@ -1,10 +1,15 @@
 import csv
 import inspect
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gcflag
 from gcflag.cli import main, parse_T, parse_lambda
 
 
@@ -15,7 +20,7 @@ def run(capsys, *argv):
 
 
 def test_parse_T_token():
-    assert parse_T("e-1") == pytest.approx(np.exp(-1))
+    assert parse_T("e-1") == math.exp(-1) == np.exp(-1)
     assert parse_T("0.25") == 0.25
     with pytest.raises(ValueError):
         parse_T("1.5")
@@ -152,6 +157,14 @@ def test_verify_refuses_samples_below_one(capsys, samples):
     assert "--samples must be at least 1" in err.err and err.out == ""
 
 
+def test_verify_refuses_options_no_criterion_takes(capsys):
+    # the polytope suite has no sampled, flag- or n-narrowed criterion
+    code = main(["verify", "--suite", "polytope", "--flag", "2|4", "--samples", "5", "--n", "7"])
+    err = capsys.readouterr()
+    assert code == 2 and err.out == ""
+    assert "no criterion of suite polytope takes --flag, --n, --samples" in err.err
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_verify_refuses_n_below_two(capsys, n):
     code = main(["verify", "--suite", "toda", "--n", n])
@@ -188,3 +201,21 @@ def test_exit_code_invalid_input(capsys):
 def test_exit_code_toda_partial_flag(capsys):
     code = main(["toda", "--flag", "2|4", "--lambda", "1,1,-1,-1"])
     assert code == 2
+
+
+def test_exact_commands_do_not_import_numpy():
+    # gc polytope and gc potential are exact: numpy loads only on first
+    # numeric use, but every layer module is imported with gcflag.cli
+    script = """
+import sys
+from gcflag.cli import main
+layers = ("polytopes", "exactla", "potential", "system", "degeneration", "toda")
+assert all("gcflag." + m in sys.modules for m in layers)
+for cmd in ("polytope", "potential"):
+    assert main([cmd, "--flag", "1,2,3|4", "--lambda", "3,1,-1,-3", "--out", "/dev/null"]) == 0
+assert "numpy.linalg" not in sys.modules, "numpy was loaded"
+"""
+    src = os.path.dirname(os.path.dirname(gcflag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

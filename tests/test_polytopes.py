@@ -16,6 +16,7 @@ from gcflag.polytopes import (
     free_positions,
     interior_lattice_points,
     is_reflexive,
+    lattice_point_count,
     lattice_points,
     polytope_from_json,
     polytope_to_json,
@@ -290,6 +291,26 @@ def test_lattice_counts_match_weyl():
         poly = build_polytope(FlagType(n, steps), lam)
         if FlagType(n, steps).is_full():
             assert len(lattice_points(poly)) == weyl_dimension(lam)
+
+
+@pytest.mark.parametrize(
+    "lam, count",
+    [((5, 3, 1, -1, -3, -5), 3**15), ((7, 3, 1, 0, -2, -9), 208_208_000)],
+)
+def test_lattice_point_count_n6(lam, count):
+    # the count reads lambda alone, so the polytope skips build_polytope's facet pass
+    flag = FlagType.full(6)
+    lam_q = tuple(map(Fraction, lam))
+    poly = GCPolytope(flag=flag, lam=lam_q, coords=free_positions(flag), facets=())
+    assert lattice_point_count(poly) == count == weyl_dimension(lam)
+
+
+def test_lattice_point_count_refuses_rational_lambda():
+    poly = build_polytope(F3, [2, Fraction(1, 2), -2])
+    with pytest.raises(ValueError, match="integral lambda"):
+        lattice_point_count(poly)
+    with pytest.raises(ValueError, match="integral lambda"):
+        lattice_points(poly)
 
 
 def test_lattice_points_are_contained_and_integral():
