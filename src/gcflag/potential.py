@@ -70,6 +70,14 @@ class LaurentPotential:
         return vm
 
     @cached_property
+    def _vv(self):
+        """The outer products v v^T of the term exponents, one row per term."""
+        vm = self._vm
+        vv = (vm[:, :, None] * vm[:, None, :]).reshape(len(vm), -1)
+        vv.flags.writeable = False
+        return vv
+
+    @cached_property
     def _taus(self):
         taus = np.array([float(t) for _, _, t in self.terms])
         taus.flags.writeable = False
@@ -133,6 +141,7 @@ DEDUP_TOL = 1e-8  # points closer than this, relative to max|y|, are one point
 NONDEGENERATE_TOL = 1e-8  # nondegenerate when |det Hess| > NONDEGENERATE_TOL * scale^N
 CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
 MINIMUM_TOL = 1e-13  # positive_real_minimum stops below this
+DESCENT_SLACK = 1e-14  # its line search takes a step that raises W by at most this, relative
 
 
 def _nondegenerate(dh, scale, N):
@@ -148,32 +157,34 @@ def _derivatives(pot, S, logT):
     """Terms (B, M), gradients (B, N) and Hessians (B, N, N) at the rows of S;
     the Hessians are one product with the outer products v v^T of the term
     exponents, with no (B, M, N) intermediate."""
-    vm = pot._vm
-    vv = (vm[:, :, None] * vm[:, None, :]).reshape(len(vm), -1)
-    E = np.exp(S @ vm.T - pot._taus * logT)
-    return E, E @ vm, (E @ vv).reshape(len(S), pot.N, pot.N)
+    E = np.exp(S @ pot._vm.T - pot._taus * logT)
+    return E, E @ pot._vm, (E @ pot._vv).reshape(len(S), pot.N, pot.N)
 
 
 def _solve_rows(H, G):
     """Solve H[b] x = G[b] for every row b.  Returns (X, ok).
 
-    One stacked solve; only if it raises (some H[b] is singular) are the
-    rows solved one by one, and then only the singular rows fail.
+    One stacked solve.  If it raises (some H[b] is singular), the rows
+    with a nonzero determinant are solved in a second stacked call and
+    only the others one by one; only the rows that still raise fail.
     """
     try:
         return np.linalg.solve(H, G[..., None])[..., 0], np.ones(len(G), bool)
     except np.linalg.LinAlgError:
-        X = np.zeros_like(G)
-        ok = np.ones(len(G), bool)
-        for b in range(len(G)):
-            try:
-                X[b] = np.linalg.solve(H[b], G[b])
-            except np.linalg.LinAlgError:
-                ok[b] = False
-        return X, ok
+        pass
+    X = np.zeros_like(G)
+    ok = np.linalg.det(H) != 0
+    X[ok] = np.linalg.solve(H[ok], G[ok][..., None])[..., 0]
+    for b in np.flatnonzero(~ok):
+        try:
+            X[b] = np.linalg.solve(H[b], G[b])
+            ok[b] = True
+        except np.linalg.LinAlgError:
+            pass
+    return X, ok
 
 
-def _newton(pot, S, logT, tol=NEWTON_TOL):
+def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None):
     """Damped Newton in log coordinates on every row of S, a (B, N) stack.
 
     Each row runs the iteration it would run alone: it stops once
@@ -182,7 +193,11 @@ def _newton(pot, S, logT, tol=NEWTON_TOL):
     the max norm.  Rows leave the active set as they stop.  Returns
     (S, res, converged, singular): the final rows, the relative residuals
     (nan where not converged) and two boolean masks; a row in neither mask
-    ran out of steps.
+    ran out of steps, or was still running when stop ended the run.
+
+    stop, if given, is called as stop(S, rows) with the indices of the rows
+    that converged in an iteration, in row order; when it returns True no
+    row takes another step.
     """
     S = np.array(S, dtype=complex)
     res = np.full(len(S), np.nan)
@@ -198,6 +213,8 @@ def _newton(pot, S, logT, tol=NEWTON_TOL):
         done = r <= tol * scale
         converged[active[done]] = True
         res[active[done]] = r[done] / scale[done]
+        if stop is not None and done.any() and stop(S, active[done]):
+            break
         active, G, H = active[~done], G[~done], H[~done]
         step, ok = _solve_rows(H, G)
         singular[active[~ok]] = True
@@ -210,14 +227,18 @@ def _newton(pot, S, logT, tol=NEWTON_TOL):
 def _start_grid(pot, T, seed=0, max_starts=4000):
     """Deterministic starts, a (B, N) array: magnitudes T^u over the
     barycenter and the vertices of the polytope, sixth-root phases.
-    Subsampled reproducibly when the full grid is too large."""
+    Subsampled reproducibly when the full grid is too large: fewer random
+    phases per magnitude, and past max_starts magnitudes one start each at
+    an even stride over the whole list."""
     poly = pot.poly
     mags = np.array(
         [poly.interior_point()] + [v for v, _ in poly.vertices()], dtype=float
     )
     N = pot.N
+    if len(mags) > max_starts:
+        mags = mags[np.arange(max_starts) * len(mags) // max_starts]
     if len(mags) * min(6**N, 6 * N) > max_starts:
-        draws = max(1, max_starts // len(mags))
+        draws = max_starts // len(mags)
     elif 6**N <= 64:
         draws = None  # every phase combination
         every = np.arange(6**N)[:, None] // 6 ** np.arange(N) % 6
@@ -230,19 +251,35 @@ def _start_grid(pot, T, seed=0, max_starts=4000):
         u * logT + phases[every if draws is None else rng.integers(0, 6, (draws, N))]
         for u in mags
     ]
-    return np.concatenate(starts)[:max_starts]
+    return np.concatenate(starts)
+
+
+def _order_key(y):
+    """Sort key of a point: |y_k|, then arg y_k, rounded to 6 places.  An
+    argument that rounds to -pi counts as pi, so a negative real coordinate
+    does not sort by the sign of a rounding-level imaginary part."""
+    arg = np.round(np.angle(y), 6)
+    arg[arg == -round(np.pi, 6)] = round(np.pi, 6)
+    return tuple(np.round(np.abs(y), 6)) + tuple(arg)
 
 
 def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
     """All isolated critical points found by multi-start Newton at fixed T.
 
-    Newton runs on every start at once.  If stats is a dict it receives
-    the number of starts, how many converged, and why the others gave no
-    point: singular (a singular Hessian stopped Newton), not_converged (no
-    convergence in NEWTON_MAXIT steps), outside_box, drifting (the Newton
-    step at the limit exceeds DRIFT_TOL, or cannot be solved) and
-    duplicate; points is the number returned.  Those six counts add up to
-    starts.
+    Newton runs on every start at once.  The starts that converge in an
+    iteration are filtered right away, in row order: the magnitude box,
+    the drift check and the dedup.  Newton stops as soon as it holds
+    cohomology_rank(pot.flag) distinct points, the rank of H*(flag) and
+    the count mirror symmetry predicts; short of that rank every start
+    runs to convergence or NEWTON_MAXIT steps.
+
+    If stats is a dict it receives the number of starts, how many
+    converged, and why the others gave no point: singular (a singular
+    Hessian stopped Newton), not_converged (no convergence in
+    NEWTON_MAXIT steps), unfinished (still running when the rank was
+    reached), outside_box, drifting (the Newton step at the limit exceeds
+    DRIFT_TOL, or cannot be solved) and duplicate; points is the number
+    returned.  Those seven counts add up to starts.
     """
     if not 0 < T < 1:
         raise ValueError("T must lie in (0, 1)")
@@ -258,43 +295,57 @@ def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
     slack = 0.5 * abs(logT) + 1.0
     lo = umax * logT - slack  # logT < 0 flips the range
     hi = umin * logT + slack
-    S, res, converged, singular = _newton(pot, _start_grid(pot, T, seed=seed), logT)
-    inbox = converged & ~((S.real < lo).any(axis=1) | (S.real > hi).any(axis=1))
-    # drift check: at a genuine isolated point the Newton step is at
-    # rounding level; in a flat valley it stays order one
-    rows = np.flatnonzero(inbox)
-    E, G, H = _derivatives(pot, S[rows], logT)
-    step, ok = _solve_rows(H, G)
-    steady = ok & ~(np.abs(step).max(axis=1) > DRIFT_TOL)
-    rows, E, H = rows[steady], E[steady], H[steady]
-    Y = np.exp(S[rows])
-    kept = []
-    for i, y in enumerate(Y):
-        K = Y[kept]
-        near = np.abs(y - K).max(axis=1) <= dedup * np.maximum(1e-300, np.abs(K).max(axis=1))
-        if not near.any():
-            kept.append(i)
+    rank = cohomology_rank(pot.flag)
+    found, Y = [], np.zeros((0, pot.N), complex)  # rows and values of the distinct points
+    rejected = dict(outside_box=0, drifting=0)
+
+    def admit(S, rows):
+        """Filter the rows that just converged; True once rank points are found."""
+        nonlocal Y
+        inbox = ~((S[rows].real < lo).any(axis=1) | (S[rows].real > hi).any(axis=1))
+        rejected["outside_box"] += int((~inbox).sum())
+        rows = rows[inbox]
+        # drift check: at a genuine isolated point the Newton step is at
+        # rounding level; in a flat valley it stays order one
+        _, G, H = _derivatives(pot, S[rows], logT)
+        step, ok = _solve_rows(H, G)
+        steady = ok & ~(np.abs(step).max(axis=1) > DRIFT_TOL)
+        rejected["drifting"] += int((~steady).sum())
+        for row in rows[steady]:
+            y = np.exp(S[row])
+            near = np.abs(y - Y).max(axis=1) <= dedup * np.maximum(1e-300, np.abs(Y).max(axis=1))
+            if not near.any():
+                found.append(row)
+                Y = np.vstack([Y, y])
+        return len(found) >= rank
+
+    S, res, converged, singular = _newton(
+        pot, _start_grid(pot, T, seed=seed), logT, stop=admit
+    )
+    E, _, H = _derivatives(pot, S[found], logT)
     points = [
         CriticalPoint(
-            y=Y[i],
+            y=y,
             T=T,
-            residual=res[rows[i]],
+            residual=res[row],
             hessian_det=dh,
             nondegenerate=_nondegenerate(dh, scale, pot.N),
         )
-        for i, dh, scale in zip(kept, np.linalg.det(H[kept]), np.abs(E[kept]).sum(axis=1))
+        for row, y, dh, scale in zip(found, Y, np.linalg.det(H), np.abs(E).sum(axis=1))
     ]
-    points.sort(key=lambda p: tuple(np.round(np.abs(p.y), 6)) + tuple(np.round(np.angle(p.y), 6)))
+    points.sort(key=lambda p: _order_key(p.y))
     if stats is not None:
-        n_conv, n_inbox = int(converged.sum()), int(inbox.sum())
+        n_conv, n_sing = int(converged.sum()), int(singular.sum())
+        unfinished = len(S) - n_conv - n_sing if len(found) >= rank else 0
         stats.update(
             starts=len(S),
             converged=n_conv,
-            singular=int(singular.sum()),
-            not_converged=len(S) - n_conv - int(singular.sum()),
-            outside_box=n_conv - n_inbox,
-            drifting=n_inbox - len(rows),
-            duplicate=len(rows) - len(points),
+            singular=n_sing,
+            not_converged=len(S) - n_conv - n_sing - unfinished,
+            unfinished=unfinished,
+            outside_box=rejected["outside_box"],
+            drifting=rejected["drifting"],
+            duplicate=n_conv - sum(rejected.values()) - len(points),
             points=len(points),
         )
     return points
@@ -371,7 +422,7 @@ def positive_real_minimum(pot, T):
         step = np.linalg.solve(h, g)
         f0 = e.sum()
         t = 1.0
-        while t > 1e-12 and pot.value(s - t * step, logT) > f0:
+        while t > 1e-12 and pot.value(s - t * step, logT) > f0 * (1 + DESCENT_SLACK):
             t /= 2
         s = s - t * step
     e = pot.terms_at(s, logT)

@@ -3,10 +3,14 @@ import pytest
 
 from gcflag.flags import FlagType
 from gcflag.polytopes import build_polytope
+from gcflag import potential
 from gcflag.potential import (
+    MINIMUM_TOL,
     NEWTON_TOL,
     STEP_CAP,
     _newton,
+    _order_key,
+    _solve_rows,
     _start_grid,
     build_potential,
     cohomology_rank,
@@ -170,8 +174,19 @@ def test_batched_newton_matches_scalar_oracle(pot):
             assert np.abs(S[b] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     if pot.N == 4:
         # the g24 grid has rows with a singular Hessian, so the stacked
-        # solve raised and the row-by-row fallback ran
+        # solve raised and the fallback ran
         assert singular.any()
+
+
+def test_solve_rows_with_a_singular_hessian_matches_rows_alone():
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    H[2] = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]  # rank 2
+    G = rng.standard_normal((5, 3)) + 0j
+    X, ok = _solve_rows(H, G)
+    assert ok.tolist() == [True, True, False, True, True]
+    for b in np.flatnonzero(ok):
+        assert np.array_equal(X[b], np.linalg.solve(H[b], G[b]))
 
 
 def test_start_grid_from_vertices_and_barycenter():
@@ -183,6 +198,21 @@ def test_start_grid_from_vertices_and_barycenter():
     assert starts.shape == (18 * len(mags), 3)
     assert np.allclose(starts[0].real, np.array(mags[0], dtype=float) * np.log(T))
     assert np.array_equal(starts, _start_grid(pot, T))
+
+
+def test_start_grid_cap_strides_over_every_vertex():
+    pot = pot_f3()
+    T = np.exp(-1.0)
+    mags = np.array(
+        [pot.poly.interior_point()] + [v for v, _ in pot.poly.vertices()], dtype=float
+    )
+    starts = _start_grid(pot, T, max_starts=4)
+    # more magnitudes than starts: one start each, spread over the whole
+    # list, where a cut at the end would keep magnitudes 0-3 only
+    assert len(mags) >= 8 and starts.shape == (4, 3)
+    picked = [int(np.flatnonzero(np.isclose(mags * np.log(T), s.real).all(axis=1))[0]) for s in starts]
+    assert picked == [k * len(mags) // 4 for k in range(4)]
+    assert picked[-1] >= len(mags) // 2
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -198,10 +228,52 @@ def test_critical_stats_account_for_every_start(lam):
     pts = critical_points(pot, np.exp(-1.0), stats=stats)
     assert stats["starts"] == len(_start_grid(pot, np.exp(-1.0))) > 0
     assert stats["points"] == len(pts)
-    rejected = ("singular", "not_converged", "outside_box", "drifting", "duplicate")
+    rejected = ("singular", "not_converged", "unfinished", "outside_box", "drifting", "duplicate")
     assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
-    assert stats["converged"] == stats["starts"] - stats["singular"] - stats["not_converged"]
+    assert stats["converged"] == (
+        stats["starts"] - stats["singular"] - stats["not_converged"] - stats["unfinished"]
+    )
     assert all(v >= 0 for v in stats.values())
+
+
+def test_critical_points_stop_at_the_cohomology_rank():
+    stats = {}
+    pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
+    assert len(critical_points(pot, np.exp(-1.0), stats=stats)) == 24
+    assert stats["unfinished"] > 0 and stats["not_converged"] == 0
+    # fewer points than the rank: every start runs to its end
+    stats = {}
+    assert len(critical_points(pot_g24(), np.exp(-1.0), stats=stats)) == 4
+    assert stats["unfinished"] == 0 and stats["not_converged"] > 0
+
+
+@pytest.mark.parametrize(
+    "flag,lam",
+    [(F3, [2, 0, -2]), (FlagType.grassmannian(2, 5), [3, 3, -2, -2, -2]), (FlagType.full(4), [5, 2, 0, -4])],
+    ids=["f3", "g25", "f4"],
+)
+def test_stopped_run_matches_the_full_grid(monkeypatch, flag, lam):
+    pot = build_potential(build_polytope(flag, lam))
+    T = np.exp(-1.0)
+    stopped_stats, full_stats = {}, {}
+    stopped = critical_points(pot, T, stats=stopped_stats)
+    monkeypatch.setattr(potential, "cohomology_rank", lambda flag: 10**9)
+    full = critical_points(pot, T, stats=full_stats)
+    assert full_stats["unfinished"] == 0
+    assert stopped_stats["converged"] < full_stats["converged"]
+    assert len(stopped) == len(full) == cohomology_rank(flag)
+    for p, q in zip(stopped, full):
+        assert np.abs(p.y - q.y).max() <= 1e-10 * np.abs(q.y).max()
+        assert p.nondegenerate == q.nondegenerate
+
+
+def test_order_key_folds_minus_pi_onto_pi():
+    # a negative real coordinate whose imaginary part is rounding noise of
+    # either sign sorts the same way
+    a = np.array([-1 + 1e-17j, 2 + 0j])
+    b = np.array([-1 - 1e-17j, 2 + 0j])
+    assert np.round(np.angle(a[0]), 6) == -np.round(np.angle(b[0]), 6)
+    assert _order_key(a) == _order_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +346,14 @@ def test_positive_real_minimum_f3():
     assert cp.nondegenerate
     # valuation lies strictly inside the polytope
     assert poly.contains_float(cp.valuation, tol=-1e-6)
+
+
+def test_positive_real_minimum_converges_below_minimum_tol():
+    # W stops showing a decrease at rounding level long before the
+    # gradient is below MINIMUM_TOL here
+    pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
+    cp = positive_real_minimum(pot, np.exp(-1.0))
+    assert cp.residual <= MINIMUM_TOL
 
 
 def test_positive_real_minimum_matches_a_critical_point():
