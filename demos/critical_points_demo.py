@@ -34,8 +34,7 @@ for flag, lam in [
         "critical points: %d (cohomology rank %d)"
         % (len(pts), cohomology_rank(flag))
     )
-    for p in pts:
-        v = critical_valuation(pot, p)
+    for p, v in zip(pts, critical_valuation(pot, pts)):
         print(
             "  y = %s  valuation ~ %s  nondegenerate = %s"
             % (
@@ -45,6 +44,7 @@ for flag, lam in [
             )
         )
     pm = positive_real_minimum(pot, T)
+    critical_valuation(pot, pm)
     print(
         "positive real minimum: y = %s, valuation ~ %s, interior = %s"
         % (

@@ -91,9 +91,9 @@ def cmd_critical(args):
     T = parse_T(args.T)
     pot = pt.build_potential(poly)
     points = pt.critical_points(pot, T, seed=args.seed)
-    pt.critical_valuation(pot, points)
-    count, rank = len(points), pt.cohomology_rank(flag)
     posmin = pt.positive_real_minimum(pot, T)
+    pt.critical_valuation(pot, points + [posmin])
+    count, rank = len(points), pt.cohomology_rank(flag)
     doc = {
         "flag": str(flag),
         "lambda": [pl.frac_str(x) for x in poly.lam],

@@ -134,14 +134,21 @@ class CriticalPoint:
 
 NEWTON_TOL = 1e-12  # Newton has converged when max|dW/ds| <= NEWTON_TOL * scale
 VALUATION_TOL = 1e-11  # the same test on each rung of the continuation in T
+VALUATION_LADDER = (1e-2, 1e-3, 1e-4)  # the continuation fits log|y| at these T, in this order
 NEWTON_MAXIT = 80  # a start that has not converged after this many steps fails
 STEP_CAP = 2.0  # a Newton step moves at most this far in log space (max norm)
 DRIFT_TOL = 1e-6  # a longer Newton step at a converged point marks a flat valley
 DEDUP_TOL = 1e-8  # points closer than this, relative to max|y|, are one point
 NONDEGENERATE_TOL = 1e-8  # nondegenerate when |det Hess| > NONDEGENERATE_TOL * scale^N
 CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
-MINIMUM_TOL = 1e-13  # positive_real_minimum stops below this
-DESCENT_SLACK = 1e-14  # its line search takes a step that raises W by at most this, relative
+MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
+
+
+def _log_T(T):
+    """log T for a Novikov parameter T in (0, 1); any other T is refused."""
+    if not 0 < T < 1:
+        raise ValueError("T must lie in (0, 1)")
+    return np.log(T)
 
 
 def _nondegenerate(dh, scale, N):
@@ -159,6 +166,22 @@ def _derivatives(pot, S, logT):
     exponents, with no (B, M, N) intermediate."""
     E = np.exp(S @ pot._vm.T - pot._taus * logT)
     return E, E @ pot._vm, (E @ pot._vv).reshape(len(S), pot.N, pot.N)
+
+
+def _points(pot, S, T, logT, residuals):
+    """One CriticalPoint per row of S, with its Hessian determinant and
+    nondegeneracy from one _derivatives call; no valuation."""
+    E, _, H = _derivatives(pot, S, logT)
+    return [
+        CriticalPoint(
+            y=np.exp(s),
+            T=T,
+            residual=r,
+            hessian_det=dh,
+            nondegenerate=_nondegenerate(dh, scale, pot.N),
+        )
+        for s, r, dh, scale in zip(S, residuals, np.linalg.det(H), np.abs(E).sum(axis=1))
+    ]
 
 
 def _solve_rows(H, G):
@@ -263,7 +286,7 @@ def _order_key(y):
     return tuple(np.round(np.abs(y), 6)) + tuple(arg)
 
 
-def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
+def critical_points(pot, T, seed=0, stats=None):
     """All isolated critical points found by multi-start Newton at fixed T.
 
     Newton runs on every start at once.  The starts that converge in an
@@ -281,9 +304,7 @@ def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
     DRIFT_TOL, or cannot be solved) and duplicate; points is the number
     returned.  Those seven counts add up to starts.
     """
-    if not 0 < T < 1:
-        raise ValueError("T must lie in (0, 1)")
-    logT = np.log(T)
+    logT = _log_T(T)
     # magnitude box: genuine critical points have valuations in the
     # polytope, so log|y_k| stays within the coordinate range of the
     # polytope; Newton runaways along collapse loci (where subsets of
@@ -313,7 +334,7 @@ def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
         rejected["drifting"] += int((~steady).sum())
         for row in rows[steady]:
             y = np.exp(S[row])
-            near = np.abs(y - Y).max(axis=1) <= dedup * np.maximum(1e-300, np.abs(Y).max(axis=1))
+            near = np.abs(y - Y).max(axis=1) <= DEDUP_TOL * np.maximum(1e-300, np.abs(Y).max(axis=1))
             if not near.any():
                 found.append(row)
                 Y = np.vstack([Y, y])
@@ -322,17 +343,7 @@ def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
     S, res, converged, singular = _newton(
         pot, _start_grid(pot, T, seed=seed), logT, stop=admit
     )
-    E, _, H = _derivatives(pot, S[found], logT)
-    points = [
-        CriticalPoint(
-            y=y,
-            T=T,
-            residual=res[row],
-            hessian_det=dh,
-            nondegenerate=_nondegenerate(dh, scale, pot.N),
-        )
-        for row, y, dh, scale in zip(found, Y, np.linalg.det(H), np.abs(E).sum(axis=1))
-    ]
+    points = _points(pot, S[found], T, logT, res[found])
     points.sort(key=lambda p: _order_key(p.y))
     if stats is not None:
         n_conv, n_sing = int(converged.sum()), int(singular.sum())
@@ -352,26 +363,26 @@ def critical_points(pot, T, seed=0, dedup=DEDUP_TOL, stats=None):
 
 
 def hessian_nondegenerate(pot, T, y):
-    """Determinant test of the logarithmic Hessian at a critical point."""
-    y = np.asarray(y, dtype=complex)
-    logT = np.log(T)
-    s = np.log(y)
-    e = pot.terms_at(s, logT)
-    scale = np.abs(e).sum()
-    g = pot._vm.T @ e
-    if np.abs(g).max() > CRITICAL_TOL * scale:
+    """Determinant test of the logarithmic Hessian at a critical point.
+    Returns (nondegenerate, det).  Raises ValueError unless
+    max|dW/ds| <= CRITICAL_TOL * sum|terms| at y, so a y with a zero,
+    infinite or nan coordinate is refused."""
+    logT = _log_T(T)
+    E, G, H = _derivatives(pot, np.log(np.asarray(y, dtype=complex))[None, :], logT)
+    scale = np.abs(E).sum()
+    if not np.abs(G).max() <= CRITICAL_TOL * scale:
         raise ValueError("input is not a critical point")
-    dh = np.linalg.det(pot.hessian(s, logT))
+    dh = np.linalg.det(H[0])
     return _nondegenerate(dh, scale, pot.N), dh
 
 
-def critical_valuation(pot, points, eps=(1e-2, 1e-3, 1e-4)):
+def critical_valuation(pot, points):
     """Estimate v(y_k) by continuation of branches to small T.
 
     points is one CriticalPoint or a sequence of points that share their
     T.  All branches are tracked together, one batched Newton per step,
-    from T down through the epsilon ladder (the ladder depends only on T
-    and eps), and log|y_k| is fit against log T.  The valuation and the
+    from T down through VALUATION_LADDER (the path depends only on T),
+    and log|y_k| is fit against log T.  The valuation and the
     fit residual are stored on each point.  Returns the valuation vector
     of a single point, or a (len(points), N) array.  Raises RuntimeError
     if any branch is lost.
@@ -384,9 +395,8 @@ def critical_valuation(pot, points, eps=(1e-2, 1e-3, 1e-4)):
     if any(p.T != T for p in pts):
         raise ValueError("points must share their T")
     S = np.log(np.array([p.y for p in pts], dtype=complex))
-    ladder = sorted(eps, reverse=True)
     samples = []
-    for target in ladder:
+    for target in VALUATION_LADDER:
         # geometric continuation path
         steps = max(3, int(np.ceil(8 * abs(np.log(target) - np.log(T)))))
         for logT in np.linspace(np.log(T), np.log(target), steps + 1)[1:]:
@@ -395,7 +405,7 @@ def critical_valuation(pot, points, eps=(1e-2, 1e-3, 1e-4)):
                 raise RuntimeError("continuation lost the branch")
         samples.append(S.real.ravel())
         T = target
-    xs = np.log(ladder)
+    xs = np.log(VALUATION_LADDER)
     A = np.vstack([xs, np.ones_like(xs)]).T
     fit, res, _, _ = np.linalg.lstsq(A, np.array(samples), rcond=None)
     vals = fit[0].reshape(len(pts), pot.N)
@@ -407,37 +417,16 @@ def critical_valuation(pot, points, eps=(1e-2, 1e-3, 1e-4)):
 
 
 def positive_real_minimum(pot, T):
-    """Global minimum over the positive orthant (convex in log coordinates)."""
-    logT = np.log(T)
-    center = np.array(
-        [float(x) for x in pot.poly.interior_point()], dtype=float
-    )
-    s = center * logT
-    for _ in range(200):
-        e = pot.terms_at(s, logT)
-        g = pot._vm.T @ e
-        if np.abs(g).max() <= MINIMUM_TOL * e.sum():
-            break
-        h = pot.hessian(s, logT)
-        step = np.linalg.solve(h, g)
-        f0 = e.sum()
-        t = 1.0
-        while t > 1e-12 and pot.value(s - t * step, logT) > f0 * (1 + DESCENT_SLACK):
-            t /= 2
-        s = s - t * step
-    e = pot.terms_at(s, logT)
-    g = pot._vm.T @ e
-    h = pot.hessian(s, logT)
-    dh = np.linalg.det(h)
-    cp = CriticalPoint(
-        y=np.exp(s).astype(complex),
-        T=T,
-        residual=float(np.abs(g).max() / e.sum()),
-        hessian_det=dh,
-        nondegenerate=_nondegenerate(dh, e.sum(), pot.N),
-    )
-    critical_valuation(pot, cp)
-    return cp
+    """The critical point in the positive orthant, where W is convex in log
+    coordinates: one real row of _newton from the barycenter, to MINIMUM_TOL.
+    Raises RuntimeError if it does not converge.  Like critical_points it
+    sets no valuation; critical_valuation does."""
+    logT = _log_T(T)
+    center = np.array([float(x) for x in pot.poly.interior_point()])
+    S, res, converged, _ = _newton(pot, center[None, :] * logT, logT, tol=MINIMUM_TOL)
+    if not converged[0]:
+        raise RuntimeError("Newton did not reach the positive real minimum")
+    return _points(pot, S, T, logT, res)[0]
 
 
 def cohomology_rank(flag):

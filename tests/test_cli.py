@@ -94,6 +94,22 @@ def test_critical_command(capsys):
     assert pm["interior"] is True and pm["nondegenerate"] is True
 
 
+def test_critical_command_continues_once(capsys, monkeypatch):
+    # the critical points and the positive minimum share one continuation
+    calls = []
+    valuate = gcflag.potential.critical_valuation
+
+    def counted(pot, points):
+        calls.append(points)
+        return valuate(pot, points)
+
+    monkeypatch.setattr(gcflag.potential, "critical_valuation", counted)
+    code, out = run(capsys, "critical", "--flag", "2|4", "--lambda", "1,1,-1,-1")
+    assert code == 0
+    assert len(calls) == 1
+    assert len(calls[0]) == json.loads(out)["critical_count"] + 1 == 5
+
+
 def test_critical_command_rational_lambda(capsys):
     code, out = run(capsys, "critical", "--flag", "1,2|3", "--lambda", "2,1/2,-2")
     assert code == 0

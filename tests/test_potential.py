@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -135,9 +137,14 @@ def test_count_stable_in_T():
 
 def test_critical_rejects_bad_T():
     pot = pot_f3()
-    for T in (0.0, 1.0, 2.0, -0.5):
-        with pytest.raises(ValueError):
-            critical_points(pot, T)
+    for T in (0.0, 1.0, 2.0, -0.5, -1.0, np.nan):
+        for solve in (
+            lambda: critical_points(pot, T),
+            lambda: positive_real_minimum(pot, T),
+            lambda: hessian_nondegenerate(pot, T, np.ones(3)),
+        ):
+            with pytest.raises(ValueError, match=r"T must lie in \(0, 1\)"):
+                solve()
 
 
 def scalar_newton(pot, s, logT, maxit=80, tol=NEWTON_TOL):
@@ -287,6 +294,11 @@ def test_hessian_nondegenerate_and_rejection():
     assert ok and abs(dh) > 0
     with pytest.raises(ValueError):
         hessian_nondegenerate(pot, np.exp(-1.0), np.array([5.0, 5.0, 5.0]))
+    # a zero, infinite or nan coordinate is not a critical point either
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for y in ([0, 1, 1], [np.inf, 1, 1], [np.nan, 1, 1]):
+            with pytest.raises(ValueError, match="not a critical point"):
+                hessian_nondegenerate(pot, np.exp(-1.0), y)
 
 
 def test_valuations_f3():
@@ -340,6 +352,7 @@ def test_positive_real_minimum_f3():
     pot = pot_f3()
     poly = pot.poly
     cp = positive_real_minimum(pot, np.exp(-1.0))
+    critical_valuation(pot, cp)
     assert np.abs(cp.y.imag).max() < 1e-12
     assert (cp.y.real > 0).all()
     assert cp.residual < 1e-10
@@ -349,11 +362,40 @@ def test_positive_real_minimum_f3():
 
 
 def test_positive_real_minimum_converges_below_minimum_tol():
-    # W stops showing a decrease at rounding level long before the
-    # gradient is below MINIMUM_TOL here
+    # terms of very different sizes cancel here, so the residual relative
+    # to the term scale is the test that MINIMUM_TOL is reached
     pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
     cp = positive_real_minimum(pot, np.exp(-1.0))
     assert cp.residual <= MINIMUM_TOL
+
+
+@pytest.mark.parametrize(
+    "flag,lam",
+    [
+        (F3, (2, 0, -2)),
+        (G24, (1, 1, -1, -1)),
+        (FlagType.full(4), (5, 2, 0, -4)),
+        (FlagType.grassmannian(2, 5), (3, 3, -2, -2, -2)),
+        (F3, (2, Fraction(1, 2), -2)),
+    ],
+    ids=["f3", "g24", "f4", "g25", "f3-rational"],
+)
+def test_positive_real_minimum_across_T(flag, lam):
+    pot = build_potential(build_polytope(flag, lam))
+    for T in (1e-4, 1e-2, 0.5, 0.9):
+        cp = positive_real_minimum(pot, T)
+        assert cp.residual <= MINIMUM_TOL
+        assert (cp.y.imag == 0).all() and (cp.y.real > 0).all()
+        assert cp.valuation is None
+        # W is convex in log coordinates on the positive orthant
+        H = pot.hessian(np.log(cp.y.real), np.log(T))
+        assert np.linalg.eigvalsh(H).min() > 0
+
+
+def test_positive_real_minimum_refuses_an_unconverged_row(monkeypatch):
+    monkeypatch.setattr(potential, "NEWTON_MAXIT", 1)
+    with pytest.raises(RuntimeError):
+        positive_real_minimum(pot_f3(), np.exp(-1.0))
 
 
 def test_positive_real_minimum_matches_a_critical_point():
