@@ -49,7 +49,6 @@ from .potential import (
     LaurentPotential,
     build_potential,
     cohomology_rank,
-    count_vs_cohomology,
     critical_points,
     critical_valuation,
     hessian_nondegenerate,

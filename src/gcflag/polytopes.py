@@ -12,7 +12,11 @@ pattern entries, so a set of normals is a graph on the free entries plus
 one ground node for all lambda values, and its rank is the size of a
 spanning forest (_join).  That one union-find decides which patterns are
 vertices, which inequalities are facets, the dimension of every face, and
-the reflexive centre.  Volumes are sums over the face lattice (the lattice
+the reflexive centre.  Vertices come from one pass that fills
+lambda-valued patterns row by row, on the ranks of lambda's values, and
+drops a branch once a component of the row above reaches neither a lambda
+value nor the new row: facets join adjacent rows only, so nothing further
+down can ground it.  Volumes are sums over the face lattice (the lattice
 pyramid recursion, _face_volume) with no determinant: a face's free
 entries fall into clusters of equal entries, the clusters are lattice
 coordinates on its affine hull, and in them every facet inequality has
@@ -201,22 +205,64 @@ class GCPolytope:
         (_join), N minus the number of components without the ground, so
         the pattern is a vertex iff the tight facets join every free entry
         to a lambda value.  No arithmetic is needed.
+
+        The patterns are filled row by row from the top, on the ranks of
+        lambda's distinct values, and a branch is dropped as soon as a
+        component of the row above reaches neither the ground nor the new
+        row.  The rule is exact: every facet joins two adjacent rows, so no
+        row further down can join that component to anything.  At the
+        bottom row every component must reach the ground.  Ranks are mapped
+        to values only for the vertices kept; the map keeps order, so
+        sorting the ranks sorts the vertices.
         """
         return self._vertices
 
     @cached_property
     def _vertices(self):
+        n = self.flag.n
         values = sorted(set(self.lam))
-        pairs = [tuple(_cell(self.flag, pos) for pos in f.pair) for f in self.facets]
+        # edges[t]: (facet, column in row t - 1, column in row t) for every
+        # facet between those two rows of a _patterns tuple
+        edges = [[] for _ in range(n)]
+        for j, f in enumerate(self.facets):
+            (_, a), (t, b) = sorted(_cell(self.flag, pos) for pos in f.pair)
+            edges[t].append((j, a, b))
+        nodes = [tuple(_facet_node(self, (n - t, c + 1)) for c in range(n - t)) for t in range(n)]
+
+        @cache
+        def rows_below(upper, labels):
+            """(row, its labels, facets tight between upper and row) for every
+            row that may follow `upper`, whose entry c lies in the component
+            labels[c]: the ground, or a free entry of upper."""
+            t = n + 1 - len(upper)
+            lower = nodes[t]
+            out = []
+            for row in product(*(range(lo, hi + 1) for hi, lo in zip(upper, upper[1:]))):
+                tight = [(j, labels[a], lower[b]) for j, a, b in edges[t] if upper[a] == row[b]]
+                parent = {}
+                _join([(a, b) for _, a, b in tight], parent)
+                ground = _find(parent, _GROUND)
+                roots = [_find(parent, x) for x in lower]
+                reached = {ground, *roots}
+                if all(_find(parent, x) in reached for x in labels):
+                    new = tuple(_GROUND if r == ground else r for r in roots)
+                    out.append((row, new, tuple(j for j, _, _ in tight)))
+            return out
+
+        found = []
+
+        def fill(rows, labels, tight):
+            if len(rows) == n:
+                if labels == (_GROUND,):
+                    found.append((rows, tight))
+                return
+            for row, new, js in rows_below(rows[-1], labels):
+                fill(rows + (row,), new, tight + js)
+
+        fill((tuple(map(values.index, self.lam)),), (_GROUND,) * n, ())
         at = [_cell(self.flag, pos) for pos in self.coords]
-        out = []
-        for rows in _patterns(self.lam, lambda lo, hi: [x for x in values if lo <= x <= hi]):
-            tight = [
-                j for j, ((a, b), (c, e)) in enumerate(pairs) if rows[a][b] == rows[c][e]
-            ]
-            if len(_join(self._facet_ends[j] for j in tight)) == self.N:
-                out.append((tuple(rows[a][b] for a, b in at), frozenset(tight)))
-        return sorted(out, key=lambda vertex: vertex[0])
+        found = sorted((tuple(rows[a][b] for a, b in at), tight) for rows, tight in found)
+        return [(tuple(values[r] for r in u), frozenset(tight)) for u, tight in found]
 
     @cached_property
     def _facet_ends(self):
@@ -277,6 +323,8 @@ def build_polytope(flag, lam, coords=None):
             raise ValueError("coords override must permute the free positions")
     index = {pos: a for a, pos in enumerate(coords)}
     N = len(coords)
+    if N < 1:
+        raise ValueError("polytope must be at least one-dimensional")
     n = flag.n
     d = flag.dims
 
@@ -453,8 +501,6 @@ def volume(poly):
     vertex w from the hyperplane of the facet is |ell_j(w)|.  At the top
     the clusters are the N coordinates, so the volume is Vol(P) / N!.
     """
-    if poly.N < 1:
-        raise ValueError("polytope must be at least one-dimensional")
     verts = poly.vertices()
     ends = poly._facet_ends
     masks = [
@@ -587,25 +633,28 @@ def _facet_node(poly, pos):
     return pos
 
 
-def _join(edges):
+def _find(parent, x):
+    """Root of x in the union-find forest parent, halving the path to it."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(edges, parent=None):
     """Union-find over pattern entries and the ground, joining each edge's ends.
 
     Returns the indices of the edges that joined two components, a
     spanning forest.  The edges' normals form a network matrix, so the
-    forest's size is their rank; an edge left out closes a loop.
+    forest's size is their rank; an edge left out closes a loop.  A
+    parent dict, if given, is left holding the components, each node's
+    root being _find(parent, node).
     """
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = {} if parent is None else parent
     forest = []
     for j, (a, b) in enumerate(edges):
-        a, b = find(a), find(b)
+        a, b = _find(parent, a), _find(parent, b)
         if a != b:
             parent[a] = b
             forest.append(j)

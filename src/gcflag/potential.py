@@ -437,11 +437,6 @@ def cohomology_rank(flag):
     return rank
 
 
-def count_vs_cohomology(pot, T, seed=0):
-    pts = critical_points(pot, T, seed=seed)
-    return len(pts), cohomology_rank(pot.flag)
-
-
 def potential_report(pot, points):
     """JSON-ready report with the spec'd field layout."""
     return {

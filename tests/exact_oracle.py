@@ -1,12 +1,14 @@
 """Exact reference implementations the tests compare gcflag against.
 
-Gaussian elimination over Fractions (rank, solve, affine_dim) and a pulling
-triangulation with a determinant per simplex (volume_of).  The library
+Gaussian elimination over Fractions (rank, solve, affine_dim), a pulling
+triangulation with a determinant per simplex (volume_of), and the vertex
+decision on every lambda-valued pattern (pattern_vertices).  The library
 answers these questions combinatorially from the pattern graph; these are
 the direct computations, slow but independent of that argument.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from gcflag.exactla import det, to_fraction
@@ -61,6 +63,36 @@ def affine_dim(points):
     p0 = pts[0]
     diffs = [[to_fraction(x) - to_fraction(y) for x, y in zip(p, p0)] for p in pts[1:]]
     return rank(diffs) if diffs else 0
+
+
+def pattern_vertices(poly):
+    """Every lambda-valued interlacing pattern whose tight facet normals have
+    rank N, as sorted (coordinates, tight facet indices) pairs.
+
+    By De Loera & McAllister (DCG 32, 2004) every vertex is such a pattern,
+    and a point of the polytope is a vertex iff its tight normals span R^N;
+    here each pattern is filled whole and its rank found by elimination.
+    """
+    values = sorted(set(poly.lam))
+    n = poly.flag.n
+    patterns = [{(n, i + 1): x for i, x in enumerate(poly.lam)}]
+    for k in range(n - 1, 0, -1):
+        patterns = [
+            {**p, **{(k, i + 1): x for i, x in enumerate(row)}}
+            for p in patterns
+            for row in product(
+                *([x for x in values if p[(k + 1, i + 1)] >= x >= p[(k + 1, i + 2)]] for i in range(k))
+            )
+        ]
+    out = []
+    for p in patterns:
+        u = tuple(p[pos] for pos in poly.coords)
+        ells = [f.ell(u) for f in poly.facets]
+        assert all(e >= 0 for e in ells)
+        tight = frozenset(j for j, e in enumerate(ells) if e == 0)
+        if rank([poly.facets[j].v for j in tight]) == poly.N:
+            out.append((u, tight))
+    return sorted(out)
 
 
 def volume_of(points, facet_sets):

@@ -214,6 +214,15 @@ def test_exit_code_invalid_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["polytope", "potential", "critical"])
+def test_zero_dimensional_flag_refused(capsys, command):
+    # the flag type |3 pins every pattern entry: its polytope is a point
+    code = main([command, "--flag", "|3", "--lambda", "1,1,1"])
+    err = capsys.readouterr()
+    assert code == 2 and err.out == ""
+    assert "polytope must be at least one-dimensional" in err.err
+
+
 def test_exit_code_toda_partial_flag(capsys):
     code = main(["toda", "--flag", "2|4", "--lambda", "1,1,-1,-1"])
     assert code == 2

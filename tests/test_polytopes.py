@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact_oracle import affine_dim, rank, solve, volume_of
+from exact_oracle import affine_dim, pattern_vertices, rank, solve, volume_of
+from gcflag.criteria import FIXED_CASES
 from gcflag.exactla import det
 from gcflag.flags import FlagType, anticanonical_lambda, dimension
 from gcflag import polytopes
@@ -170,14 +171,17 @@ def test_vertices_and_facets_against_oracle(flag, lam):
 
 @pytest.mark.parametrize("flag,lam", VERTEX_ORACLE_CASES)
 def test_union_find_rank_matches_oracle(flag, lam, monkeypatch):
-    # every set of normals whose rank build_polytope decides, for its
-    # vertices and for its facets, has union-find rank = the exact rank
+    # every set of normals whose rank build_polytope decides, in the vertex
+    # row pass (an entry of the row above stands for its component) and for
+    # its facets, has union-find rank = the exact rank
     seen = []
     join = polytopes._join
 
-    def recording(edges):
+    def recording(edges, parent=None):
+        # a union-find started afresh, so its forest is the rank of these edges
+        assert not parent
         edges = list(edges)
-        forest = join(edges)
+        forest = join(edges, parent)
         seen.append((edges, len(forest)))
         return forest
 
@@ -201,6 +205,24 @@ def test_union_find_rank_matches_oracle(flag, lam, monkeypatch):
     normals = [f.v for f in poly.facets]
     for k in range(1, len(normals) + 1):
         assert len(join(poly._facet_ends[:k])) == rank(normals[:k])
+
+
+@pytest.mark.parametrize(
+    "flag,lam",
+    FIXED_CASES + [(FlagType.parse(flag), lam) for flag, lam in VERTEX_ORACLE_CASES],
+    ids=str,
+)
+def test_vertices_match_pattern_rank_oracle(flag, lam):
+    # every lambda-valued pattern is a vertex iff its tight normals have rank N
+    poly = build_polytope(flag, lam or anticanonical_lambda(flag))
+    assert poly.vertices() == pattern_vertices(poly)
+
+
+def test_vertices_full6_counts():
+    # 2^15 eliminations in the pattern oracle are too slow here; pin the counts
+    fl = FlagType.full(6)
+    poly = build_polytope(fl, anticanonical_lambda(fl))
+    assert len(poly.facets) == 30 and len(poly.vertices()) == 4884
 
 
 def test_vertices_2_4_6_certified():
