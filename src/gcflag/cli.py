@@ -7,7 +7,6 @@ failure or failed verification, 2 invalid input.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -64,6 +63,8 @@ def cmd_polytope(args):
             doc["interior_point"] = [pl.frac_str(x) for x in p]
             doc["dual_volume"] = pl.frac_str(pl.dual_volume(poly))
         if args.csv:
+            import csv
+
             with open(args.csv, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["u%d" % (i + 1) for i in range(poly.N)])

@@ -9,13 +9,14 @@ whose images fill the Gelfand-Cetlin polytope.
 """
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations, permutations
 
-from ._lazy import numpy as np
+from ._lazy import lazy
 from .flags import meet_join, normalize_index_set
 from .polytopes import free_positions, is_pinned
+
+np = lazy("numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +187,18 @@ def verify_family_equation(flag, relation, samples=100, seed=0, t=None):
 # the limit torus and its monomial embedding
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Values tau^{(k)}_i on the ladder boxes; pinned positions are 1."""
+class TorusPoint(namedtuple("TorusPoint", "flag tau")):
+    """Values tau^{(k)}_i on the ladder boxes; pinned positions are 1.
+    tau maps (k, i) to a complex value, on the free positions only."""
 
-    flag: object
-    tau: dict  # (k, i) -> complex, free positions only
+    __slots__ = ()
 
-    def __post_init__(self):
-        want = set(free_positions(self.flag))
-        if set(self.tau) != want:
+    def __new__(cls, flag, tau):
+        if set(tau) != set(free_positions(flag)):
             raise ValueError("tau must be given exactly on the free positions")
-        if any(v == 0 for v in self.tau.values()):
+        if any(v == 0 for v in tau.values()):
             raise ValueError("tau values must be nonzero")
+        return super().__new__(cls, flag, tau)
 
     def value(self, k, i):
         if k == self.flag.n or is_pinned(self.flag, k, i):
@@ -243,12 +243,11 @@ def binomial_relation_holds(flag, I, J):
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class PluckerPoint:
-    """Normalized homogeneous coordinates, one table per step size."""
+class PluckerPoint(namedtuple("PluckerPoint", "flag values")):
+    """Normalized homogeneous coordinates, one table per step size:
+    values maps a sorted index tuple to a complex coordinate."""
 
-    flag: object
-    values: dict  # sorted index tuple -> complex
+    __slots__ = ()
 
     def get(self, I):
         """Coordinate with the sign convention Z_{sigma I} = sgn(sigma) Z_I."""

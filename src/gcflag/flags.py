@@ -6,28 +6,26 @@ their index sets, meet/join of index sets, and the anti-canonical weight
 vector.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
 
-@dataclass(frozen=True)
-class FlagType:
+class FlagType(namedtuple("FlagType", "n steps")):
     """Step sequence (n_1, ..., n_r) inside an n-dimensional space."""
 
-    n: int
-    steps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, steps):
+        if n < 1:
             raise ValueError("n must be positive")
-        steps = self.steps
         if not isinstance(steps, tuple):
             raise ValueError("steps must be a tuple, got %r" % (steps,))
-        if any(not (0 < s < self.n) for s in steps):
+        if any(not (0 < s < n) for s in steps):
             raise ValueError("steps must lie strictly between 0 and n")
         if any(a >= b for a, b in zip(steps, steps[1:])):
             raise ValueError("steps must be strictly increasing")
+        return super().__new__(cls, n, steps)
 
     @property
     def r(self):
@@ -78,13 +76,12 @@ class FlagType:
         return ",".join(str(s) for s in self.steps) + "|" + str(self.n)
 
 
-@dataclass(frozen=True)
-class LadderDiagram:
-    """Boxes below the diagonal squares of the n x n grid, plus corners."""
+class LadderDiagram(namedtuple("LadderDiagram", "flag boxes corners")):
+    """Boxes below the diagonal squares of the n x n grid, plus corners:
+    boxes holds grid cells (row a, col j), matrix indexing from the top,
+    and corners are O_0, ..., O_r."""
 
-    flag: FlagType
-    boxes: frozenset  # grid cells (row a, col j), matrix indexing from the top
-    corners: tuple  # O_0, ..., O_r
+    __slots__ = ()
 
 
 def dimension(flag):

@@ -24,15 +24,17 @@ coefficients +-1.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
 from math import factorial
 
-from ._lazy import numpy as np
+from ._lazy import lazy
 from .exactla import det, to_fraction
 from .flags import FlagType
+
+np = lazy("numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +78,11 @@ def free_positions(flag):
     )
 
 
-@dataclass(frozen=True)
-class GCPattern:
-    """A full triangular interlacing array, rows indexed 1..n (row n = lambda)."""
+class GCPattern(namedtuple("GCPattern", "rows")):
+    """A full triangular interlacing array, rows indexed 1..n (row n = lambda);
+    rows[k-1] is row k as a tuple of Fractions."""
 
-    rows: tuple  # rows[k-1] is row k as a tuple of Fractions
+    __slots__ = ()
 
     @property
     def n(self):
@@ -104,30 +106,25 @@ class GCPattern:
         return True
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(namedtuple("Facet", "v tau tau_blocks pair")):
     """One supporting halfspace ell(u) = <v, u> - tau >= 0.
 
-    tau_blocks gives tau as an integer combination of the block values
-    lambda_{n_1}, ..., lambda_{n_{r+1}}; pair records the two pattern
-    positions whose interlacing inequality produced the facet.
+    v is the integer normal, with at most two nonzero entries, each +-1.
+    tau_blocks gives the Fraction tau as an integer combination of the
+    block values lambda_{n_1}, ..., lambda_{n_{r+1}}; pair records the two
+    pattern positions (upper, lower), each (k, i), whose interlacing
+    inequality produced the facet.
     """
 
-    v: tuple  # integer normal, at most two nonzero entries, each +-1
-    tau: Fraction
-    tau_blocks: tuple
-    pair: tuple  # (upper position, lower position), positions are (k, i)
+    __slots__ = ()
 
     def ell(self, u):
         return sum(c * x for c, x in zip(self.v, u)) - self.tau
 
 
-@dataclass(frozen=True)
-class GCPolytope:
-    flag: FlagType
-    lam: tuple
-    coords: tuple  # ordered free positions (k, i)
-    facets: tuple
+class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
+    """The facets of a polytope for flag and lam; coords orders the free
+    positions (k, i).  No __slots__: the cached properties need __dict__."""
 
     @property
     def N(self):
@@ -311,7 +308,8 @@ def build_polytope(flag, lam, coords=None):
     pairs are dropped.  Candidate j is kept iff its face is (N-1)-dimensional:
     the normals tight at every vertex of the face are its implicit
     equalities, so j is a facet iff those normals have rank 1 (_join).  The
-    vertices are those of the polytope cut out by all candidates.
+    vertices are those of the polytope cut out by all candidates, found
+    once and handed to the polytope returned.
     """
     lam = validate_lambda(flag, lam)
     default_coords = free_positions(flag)
@@ -364,12 +362,21 @@ def build_polytope(flag, lam, coords=None):
     provisional = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(candidates))
     verts = provisional.vertices()
     ends = provisional._facet_ends
-    facets = []
-    for j, f in enumerate(candidates):
-        on_face = [act for _, act in verts if j in act]
-        if on_face and len(_join(ends[i] for i in frozenset.intersection(*on_face))) == 1:
-            facets.append(f)
-    return GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(facets))
+    # on_face[j]: the candidates tight at every vertex of candidate j's face
+    on_face = {}
+    for _, act in verts:
+        for j in act:
+            on_face[j] = on_face.get(j, act) & act
+    kept = [j for j, face in sorted(on_face.items()) if len(_join(ends[i] for i in face)) == 1]
+    poly = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(candidates[j] for j in kept))
+    # the facets cut out the same polytope as all candidates, so the vertices
+    # are the same; only the active sets are renumbered to the kept facets,
+    # in place, so the old and new sets are never all held at once
+    renumber = {j: k for k, j in enumerate(kept)}
+    for i, (u, act) in enumerate(verts):
+        verts[i] = u, frozenset(renumber[j] for j in act if j in renumber)
+    poly.__dict__["_vertices"] = verts
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,21 @@ valuations are estimated by tracking all branches together to small T
 and fitting the slope of log|y_k| against log T.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from ._lazy import numpy as np
+from ._lazy import lazy
 from .polytopes import frac_str
 
+np = lazy("numpy")
 
-@dataclass(frozen=True)
-class LaurentPotential:
-    flag: object
-    lam: tuple
-    coords: tuple
-    terms: tuple  # (v: int tuple, tau_blocks: int tuple, tau: Fraction)
-    poly: object = field(repr=False)  # the GCPolytope whose facets give the terms
+
+class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms poly")):
+    """One term (v: int tuple, tau_blocks: int tuple, tau: Fraction) per
+    facet of the GCPolytope poly.  No __slots__: the cached properties
+    need __dict__."""
 
     @property
     def N(self):
@@ -116,15 +115,16 @@ def build_potential(poly):
     )
 
 
-@dataclass
 class CriticalPoint:
-    y: "np.ndarray"  # complex, at the fixed T
-    T: float
-    residual: float
-    hessian_det: complex
-    nondegenerate: bool
-    valuation: "np.ndarray" = None
-    valuation_residual: float = None
+    """A critical point y (complex array) at the fixed T; critical_valuation
+    sets its valuation (float array) and valuation_residual."""
+
+    def __init__(
+        self, y, T, residual, hessian_det, nondegenerate, valuation=None, valuation_residual=None
+    ):
+        self.y, self.T, self.residual = y, T, residual
+        self.hessian_det, self.nondegenerate = hessian_det, nondegenerate
+        self.valuation, self.valuation_residual = valuation, valuation_residual
 
 
 # ---------------------------------------------------------------------------

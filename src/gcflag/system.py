@@ -8,7 +8,9 @@ repeatedly bordering a diagonal matrix: if b interlaces a, the arrow
 matrix diag(b) with a suitable last row and column has spectrum a.
 """
 
-from ._lazy import numpy as np
+from ._lazy import lazy
+
+np = lazy("numpy")
 
 
 def hermitize(m, tol=1e-12):

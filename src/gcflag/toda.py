@@ -10,20 +10,23 @@ p_i = df/dt_i land on the level set D_2 = ... = D_n = 0.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from ._lazy import numpy as np
+from ._lazy import lazy
+
+np = lazy("numpy")
 
 
-@dataclass(frozen=True)
-class TodaState:
-    p: tuple  # (p_0, ..., p_{n-1})
-    q: tuple  # (q_1, ..., q_{n-1})
+class TodaState(namedtuple("TodaState", "p q")):
+    """Momenta p = (p_0, ..., p_{n-1}) and couplings q = (q_1, ..., q_{n-1})."""
 
-    def __post_init__(self):
-        if len(self.q) != len(self.p) - 1:
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if len(q) != len(p) - 1:
             raise ValueError("need len(q) = len(p) - 1")
+        return super().__new__(cls, p, q)
 
 
 def toda_hamiltonians(state):
@@ -79,18 +82,17 @@ def _poly_add(a, b):
 # phase coordinates
 
 
-@dataclass(frozen=True)
-class PhaseCoordinates:
-    """Triangular array T_{ij}, rows i = 1..n, with T_{i,n-i+1} = lambda_i."""
+class PhaseCoordinates(namedtuple("PhaseCoordinates", "n T")):
+    """Triangular array T_{ij}, rows i = 1..n, with T_{i,n-i+1} = lambda_i;
+    T maps (i, j) to the value, j = 1..n-i+1."""
 
-    n: int
-    T: dict  # (i, j) -> value, j = 1..n-i+1
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.n
+    def __new__(cls, n, T):
         want = {(i, j) for i in range(1, n + 1) for j in range(1, n - i + 2)}
-        if set(self.T) != want:
+        if set(T) != want:
             raise ValueError("T must be defined exactly on the triangle")
+        return super().__new__(cls, n, T)
 
     @property
     def lam(self):

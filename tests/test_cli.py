@@ -19,6 +19,39 @@ def run(capsys, *argv):
     return code, out
 
 
+# the names gcflag exported when it imported every layer module eagerly
+EXPORTS = {
+    "flags": "FlagType LadderDiagram anticanonical_lambda dimension ladder_diagram meet_join "
+    "normalize_index_set path_count positive_paths",
+    "polytopes": "Facet GCPattern GCPolytope build_polytope dual_volume free_positions "
+    "interior_lattice_points is_reflexive lattice_point_count lattice_points polytope_from_json "
+    "polytope_to_json simplicial_cone_determinant volume volume_formula weyl_dimension",
+    "system": "arrow_completion fiber_point gc_map random_orbit_point",
+    "degeneration": "PluckerPoint TorusPoint binomial_relation_holds deformed_plucker moment_mu "
+    "moment_nu monomial_embedding multi_deformed_plucker parse_relation random_torus_point "
+    "verify_family_equation weight_matrix",
+    "potential": "CriticalPoint LaurentPotential build_potential cohomology_rank critical_points "
+    "critical_valuation hessian_nondegenerate positive_real_minimum",
+    "toda": "PhaseCoordinates TodaState gc_to_toda level_set_check phase_function "
+    "toda_hamiltonians",
+}
+
+
+def test_package_exports():
+    # resolving every name runs every layer module, so an import error in
+    # any of them fails here
+    names = {name: layer for layer, names in EXPORTS.items() for name in names.split()}
+    assert sorted(gcflag.__all__) == sorted([*names, *EXPORTS, "exactla"])
+    assert len(gcflag.__all__) == 62
+    for name, layer in names.items():
+        assert getattr(gcflag, name) is getattr(sys.modules["gcflag." + layer], name), name
+    for layer in [*EXPORTS, "exactla"]:
+        assert getattr(gcflag, layer) is sys.modules["gcflag." + layer]
+    assert set(gcflag.__all__) <= set(dir(gcflag))
+    with pytest.raises(AttributeError):
+        getattr(gcflag, "no_such_name")
+
+
 def test_parse_T_token():
     assert parse_T("e-1") == math.exp(-1) == np.exp(-1)
     assert parse_T("0.25") == 0.25
@@ -230,14 +263,23 @@ def test_exit_code_toda_partial_flag(capsys):
 
 def test_exact_commands_do_not_import_numpy():
     # gc polytope and gc potential are exact: numpy loads only on first
-    # numeric use, but every layer module is imported with gcflag.cli
+    # numeric use.  Every layer module is registered with gcflag.cli, but
+    # runs only when a command uses it; a lazy module's type is not
+    # ModuleType until then, and asking for its type does not run it
     script = """
-import sys
+import sys, types
 from gcflag.cli import main
 layers = ("polytopes", "exactla", "potential", "system", "degeneration", "toda")
 assert all("gcflag." + m in sys.modules for m in layers)
+
+def ran(m):
+    return type(sys.modules["gcflag." + m]) is types.ModuleType
+
 for cmd in ("polytope", "potential"):
     assert main([cmd, "--flag", "1,2,3|4", "--lambda", "3,1,-1,-3", "--out", "/dev/null"]) == 0
+    assert ran("polytopes") and ran("potential") == (cmd == "potential"), cmd
+    assert not any(map(ran, ("system", "degeneration", "toda"))), cmd
+    assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, cmd
 assert "numpy.linalg" not in sys.modules, "numpy was loaded"
 """
     src = os.path.dirname(os.path.dirname(gcflag.__file__))

@@ -188,11 +188,11 @@ def test_binomial_relations_hold():
 def test_torus_point_validation():
     tau = {pos: 1.0 for pos in free_positions(F3)}
     TorusPoint(flag=F3, tau=tau)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must be given exactly on the free positions"):
         TorusPoint(flag=F3, tau={(1, 1): 1.0})
     bad = dict(tau)
     bad[(1, 1)] = 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau values must be nonzero"):
         TorusPoint(flag=F3, tau=bad)
 
 

@@ -35,7 +35,17 @@ def test_steps_must_be_a_tuple():
     for steps in ([1, 2], range(1, 3), "12"):
         with pytest.raises(ValueError, match="steps must be a tuple"):
             FlagType(3, steps)
+    for n, steps, message in (
+        (0, (), "n must be positive"),
+        (3, (0, 2), "steps must lie strictly between 0 and n"),
+        (4, (2, 1), "steps must be strictly increasing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FlagType(n, steps)
     assert FlagType(3, (1, 2)) == FlagType.full(3)
+    assert {FlagType(3, (1, 2)), FlagType.full(3), FlagType.grassmannian(1, 3)} == {
+        FlagType.full(3), FlagType(3, (1,))
+    }
 
 
 def test_block_structure():

@@ -216,6 +216,11 @@ def test_vertices_match_pattern_rank_oracle(flag, lam):
     # every lambda-valued pattern is a vertex iff its tight normals have rank N
     poly = build_polytope(flag, lam or anticanonical_lambda(flag))
     assert poly.vertices() == pattern_vertices(poly)
+    # build_polytope hands over the vertices of all candidates; a fresh pass
+    # over the kept facets gives the same list
+    fresh = GCPolytope(poly.flag, poly.lam, poly.coords, poly.facets)
+    assert "_vertices" not in vars(fresh)
+    assert poly.vertices() == fresh.vertices()
 
 
 def test_vertices_full6_counts():
@@ -573,6 +578,9 @@ def test_json_roundtrip():
     back = polytope_from_json(json.loads(blob))
     assert back.lam == poly.lam
     assert [f.v for f in back.facets] == [f.v for f in poly.facets]
+    # polytopes and facets are equal by value and hash alike
+    assert back == poly and hash(back) == hash(poly) and back is not poly
+    assert set(back.facets) == set(poly.facets) and len({back, poly}) == 1
     assert doc["lambda"][0] == "3/2"
 
 

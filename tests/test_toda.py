@@ -25,7 +25,7 @@ from gcflag.toda import (
 
 def test_state_validation():
     TodaState(p=(1, 2), q=(3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need len\(q\) = len\(p\) - 1"):
         TodaState(p=(1, 2), q=(3, 4))
 
 
@@ -93,7 +93,7 @@ def test_phase_coordinates_boundary():
     pc = make_pc(3, (2.0, 0.0, -2.0))
     assert pc.lam == (2.0, 0.0, -2.0)
     assert np.allclose(pc.q(), (np.exp(-2.0), np.exp(-2.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="T must be defined exactly on the triangle"):
         PhaseCoordinates(n=3, T={(1, 1): 0.0})
 
 
