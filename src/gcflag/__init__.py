@@ -16,9 +16,9 @@ _EXPORTS = {
     "flags": """FlagType LadderDiagram anticanonical_lambda dimension ladder_diagram
         meet_join normalize_index_set path_count positive_paths""",
     "polytopes": """Facet GCPattern GCPolytope build_polytope dual_volume free_positions
-        interior_lattice_points is_reflexive lattice_point_count lattice_points
-        polytope_from_json polytope_to_json simplicial_cone_determinant volume
-        volume_formula weyl_dimension""",
+        is_reflexive lattice_point_count lattice_points polytope_from_json
+        polytope_to_json simplicial_cone_determinant volume volume_formula
+        weyl_dimension""",
     "system": "arrow_completion fiber_point gc_map random_orbit_point",
     "degeneration": """PluckerPoint TorusPoint binomial_relation_holds deformed_plucker
         moment_mu moment_nu monomial_embedding multi_deformed_plucker parse_relation

@@ -201,7 +201,7 @@ class TorusPoint(namedtuple("TorusPoint", "flag tau")):
         return super().__new__(cls, flag, tau)
 
     def value(self, k, i):
-        if k == self.flag.n or is_pinned(self.flag, k, i):
+        if is_pinned(self.flag, k, i):
             return 1.0
         return self.tau[(k, i)]
 
@@ -275,9 +275,9 @@ def make_plucker_point(flag, values):
     return PluckerPoint(flag=flag, values=vals)
 
 
-def monomial_embedding(tau, flag=None):
+def monomial_embedding(tau):
     """Z_I = d_I(tau), the diagonal monomial, per-size normalized."""
-    flag = tau.flag if flag is None else flag
+    flag = tau.flag
     values = {}
     for nk in flag.steps:
         for I in combinations(range(1, flag.n + 1), nk):

@@ -23,7 +23,6 @@ coordinates on its affine hull, and in them every facet inequality has
 coefficients +-1.
 """
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
@@ -60,7 +59,7 @@ def validate_lambda(flag, lam):
 
 
 def is_pinned(flag, k, i):
-    """Entry (k, i) of the pattern is forced to a constant lambda value."""
+    """Entry (k, i) of the pattern is forced to a lambda value, as all of row n is."""
     return flag.block_of(i) == flag.block_of(i + flag.n - k)
 
 
@@ -123,8 +122,8 @@ class Facet(namedtuple("Facet", "v tau tau_blocks pair")):
 
 
 class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
-    """The facets of a polytope for flag and lam; coords orders the free
-    positions (k, i).  No __slots__: the cached properties need __dict__."""
+    """The facets of a polytope for flag and lam; coords is free_positions(flag).
+    No __slots__: the cached properties need __dict__."""
 
     @property
     def N(self):
@@ -272,11 +271,11 @@ class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
 # interlacing patterns
 
 
-def _patterns(top, choices):
-    """Every interlacing pattern with top row `top`, as a tuple of rows.
+def _patterns(top):
+    """Every integral interlacing pattern with top row `top`, as a tuple of rows.
 
     Rows run top-down (row k is rows[n - k], see _cell); entry i of a row
-    ranges over choices(lo, hi), lo and hi being its two upper neighbours,
+    ranges over the integers between its two upper neighbours lo and hi,
     independently of the other entries of its row.
     """
 
@@ -285,7 +284,7 @@ def _patterns(top, choices):
         if len(upper) == 1:
             yield rows
             return
-        for row in product(*(choices(lo, hi) for hi, lo in zip(upper, upper[1:]))):
+        for row in product(*(range(lo, hi + 1) for hi, lo in zip(upper, upper[1:]))):
             yield from below(rows + (row,))
 
     return below((tuple(top),))
@@ -301,7 +300,7 @@ def _cell(flag, pos):
 # construction
 
 
-def build_polytope(flag, lam, coords=None):
+def build_polytope(flag, lam):
     """Build the irredundant facet description of the Gelfand-Cetlin polytope.
 
     One inequality is generated per adjacent pattern pair; constant-constant
@@ -309,16 +308,12 @@ def build_polytope(flag, lam, coords=None):
     the normals tight at every vertex of the face are its implicit
     equalities, so j is a facet iff those normals have rank 1 (_join).  The
     vertices are those of the polytope cut out by all candidates, found
-    once and handed to the polytope returned.
+    once and handed to the polytope returned, whose coords are always
+    free_positions(flag): gc_map, the moment maps and the Toda layer read
+    that order.
     """
     lam = validate_lambda(flag, lam)
-    default_coords = free_positions(flag)
-    if coords is None:
-        coords = default_coords
-    else:
-        coords = tuple((int(k), int(i)) for k, i in coords)
-        if sorted(coords) != sorted(default_coords):
-            raise ValueError("coords override must permute the free positions")
+    coords = free_positions(flag)
     index = {pos: a for a, pos in enumerate(coords)}
     N = len(coords)
     if N < 1:
@@ -328,7 +323,7 @@ def build_polytope(flag, lam, coords=None):
 
     def term(k, i):
         """Return ('free', coord index) or ('const', block index)."""
-        if k == n or is_pinned(flag, k, i):
+        if is_pinned(flag, k, i):
             return ("const", flag.block_of(i))
         return ("free", index[(k, i)])
 
@@ -410,7 +405,7 @@ def lattice_points(poly):
     at = [_cell(poly.flag, pos) for pos in poly.coords]
     points = sorted(
         tuple(rows[a][b] for a, b in at)
-        for rows in _patterns(top, lambda lo, hi: range(lo, hi + 1))
+        for rows in _patterns(top)
     )
     exact = {x: Fraction(x) for x in range(top[-1], top[0] + 1)}
     return [tuple(exact[x] for x in p) for p in points]
@@ -531,21 +526,6 @@ def volume(poly):
 # reflexivity and the dual polytope
 
 
-def interior_lattice_points(poly):
-    """Lattice points strictly inside every facet, in sorted order.
-
-    For integral lambda every tau is an integer, so <v, p> > tau is decided
-    on Python ints, one pass over the facets per point.
-    """
-    facets = [(f.v, int(f.tau)) for f in poly.facets]
-    out = []
-    for p in lattice_points(poly):
-        q = [int(x) for x in p]
-        if all(sum(c * x for c, x in zip(v, q)) > tau for v, tau in facets):
-            out.append(p)
-    return out
-
-
 def is_reflexive(poly):
     """(True, p) if the polytope is reflexive after translating p to the
     origin; (False, None) otherwise.
@@ -635,7 +615,7 @@ def _facet_node(poly, pos):
     """Union-find node of pattern position pos: itself if free, else the
     ground node shared by all lambda values."""
     k, i = pos
-    if k == poly.flag.n or is_pinned(poly.flag, k, i):
+    if is_pinned(poly.flag, k, i):
         return _GROUND
     return pos
 
@@ -720,9 +700,10 @@ def polytope_to_json(poly):
 
 def polytope_from_json(doc):
     flag = FlagType.parse(doc["flag"])
+    if [tuple(c) for c in doc["coords"]] != list(free_positions(flag)):
+        raise ValueError("coords in document are not the free positions in order")
     lam = [Fraction(s) for s in doc["lambda"]]
-    coords = [tuple(c) for c in doc["coords"]]
-    poly = build_polytope(flag, lam, coords=coords)
+    poly = build_polytope(flag, lam)
     got = {(f.v, f.tau) for f in poly.facets}
     want = {
         (tuple(f["v"]), Fraction(f["tau"])) for f in doc["facets"]
@@ -730,7 +711,3 @@ def polytope_from_json(doc):
     if got != want:
         raise ValueError("facet list in document does not match rebuilt polytope")
     return poly
-
-
-def dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=False)

@@ -11,14 +11,15 @@ matrix diag(b) with a suitable last row and column has spectrum a.
 from ._lazy import lazy
 
 np = lazy("numpy")
+HERMITIAN_TOL = 1e-12  # hermitize takes a relative deviation up to this for rounding
 
 
-def hermitize(m, tol=1e-12):
+def hermitize(m):
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     dev = np.abs(m - m.conj().T).max()
-    if dev > tol * max(1.0, np.abs(m).max()):
+    if dev > HERMITIAN_TOL * max(1.0, np.abs(m).max()):
         raise ValueError("matrix is not Hermitian (deviation %.3e)" % dev)
     return (m + m.conj().T) / 2
 
@@ -46,9 +47,9 @@ def eigenvalues_desc(m):
 def gc_map(x, flag):
     """Coordinates of the eigenvalue pattern of x.
 
-    For every free position (k, i) this is the i-th largest eigenvalue of
-    the upper-left k x k block of x.  Accepts a FlagType (default
-    coordinate order) or a GCPolytope (its coordinate order).
+    For every free position (k, i), in free_positions order, this is the
+    i-th largest eigenvalue of the upper-left k x k block of x.  flag is a
+    FlagType or a GCPolytope, whose coords are that order already.
     """
     from .polytopes import free_positions
 
@@ -108,7 +109,7 @@ def arrow_completion(a, b):
     return m
 
 
-def fiber_point(poly, u, tol=1e-9):
+def fiber_point(poly, u):
     """A Hermitian matrix on the orbit whose eigenvalue pattern is u.
 
     Builds the k x k blocks inductively: given x^{(k)} with spectrum
@@ -116,7 +117,7 @@ def fiber_point(poly, u, tol=1e-9):
     to reach spectrum lambda^{(k+1)}, and conjugate back.
     """
     u = np.asarray(u, dtype=float)
-    if not poly.contains_float(u, tol=tol):
+    if not poly.contains_float(u):
         raise ValueError("point is not in the polytope")
     pat = poly.pattern([round(float(x), 12) for x in u])
     rows = [[float(x) for x in row] for row in pat.rows]

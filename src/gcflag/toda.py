@@ -11,7 +11,6 @@ p_i = df/dt_i land on the level set D_2 = ... = D_n = 0.
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from ._lazy import lazy
 
@@ -33,49 +32,21 @@ def toda_hamiltonians(state):
     """Coefficients (D_1, ..., D_n) of det(A + xI) = x^n + sum D_i x^{n-i}.
 
     Computed by the leading-principal-minor recurrence
-    M_m = (p_{m-1} + x) M_{m-1} + q_{m-1} M_{m-2}, exactly when the inputs
-    are exact (Fractions or ints), in floating point otherwise.
+    M_m = (p_{m-1} + x) M_{m-1} + q_{m-1} M_{m-2} in the arithmetic of the
+    inputs: exact for ints and Fractions, floating for floats and complex.
     """
     p, q = state.p, state.q
-    n = len(p)
-    one = Fraction(1) if _exact(p) and _exact(q) else 1.0
-    # polynomials in x as coefficient lists, constant term first
-    prev2 = [one]  # M_0 = 1
-    prev1 = [p[0] * one, one]  # M_1 = p_0 + x
-    for m in range(2, n + 1):
-        cur = _poly_add(
-            _poly_mul_linear(prev1, p[m - 1] * one),
-            _poly_scale(prev2, q[m - 2] * one),
-        )
-        prev2, prev1 = prev1, cur
-    coeffs = prev1 if n >= 1 else prev2
-    # coeffs[k] multiplies x^k; D_i is the coefficient of x^{n-i}
-    return tuple(coeffs[n - i] for i in range(1, n + 1))
-
-
-def _exact(vals):
-    return all(isinstance(v, (int, Fraction)) for v in vals)
-
-
-def _poly_mul_linear(poly, c):
-    """(x + c) * poly."""
-    out = [c * a for a in poly] + [0 * poly[0]]
-    for k, a in enumerate(poly):
-        out[k + 1] += a
-    return out
-
-
-def _poly_scale(poly, c):
-    return [c * a for a in poly]
-
-
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, x in enumerate(b):
-        out[k] += x
-    return out
+    # M_{m-1} and M_m, constant term first; M_{-1} = 0, so q_0 is never read
+    prev, cur = [], [1]
+    for m, c in enumerate(p):
+        nxt = [c * a for a in cur] + [0]
+        for k, a in enumerate(cur):
+            nxt[k + 1] += a
+        for k, a in enumerate(prev):
+            nxt[k] += q[m - 1] * a
+        prev, cur = cur, nxt
+    # cur[k] multiplies x^k; D_i is the coefficient of x^{n-i}
+    return tuple(cur[-2::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -118,26 +89,18 @@ def phase_function(pc):
     return total
 
 
-def phase_term_count(n):
-    return n * (n - 1)
-
-
-def gc_to_toda(x, u, lam, flag=None):
+def gc_to_toda(x, u, lam):
     """Triangular T-coordinates with T_{ij} = u^{(i+j-1)}_i - x^{(i+j-1)}_i.
 
-    x and u are coordinate vectors in the standard order (pattern rows top
-    down), real or complex; the boundary entries are T_{i,n-i+1} = lambda_i.
-    Full flags only: the change of variables needs every pattern entry free.
+    x and u are real or complex coordinate vectors of the full flag of
+    n = len(lam), in free_positions order; the change of variables needs
+    every pattern entry free.  The boundary entries are T_{i,n-i+1} = lambda_i.
     """
     from .flags import FlagType
     from .polytopes import free_positions
 
     n = len(lam)
-    if flag is None:
-        flag = FlagType.full(n)
-    if not flag.is_full():
-        raise ValueError("the Toda correspondence needs a full flag")
-    coords = free_positions(flag)
+    coords = free_positions(FlagType.full(n))
     x = np.asarray(x)
     u = np.asarray(u)
     pos = {p: a for a, p in enumerate(coords)}
@@ -174,18 +137,8 @@ def boundary_gradients(pc):
     return np.array(out)
 
 
-def momenta(pc):
-    """P_i = q_i df/dq_i recovered from the lambda-gradients.
-
-    log q_i = lambda_{i+1} - lambda_i gives g_m = P_{m-1} - P_m, so the
-    partial sums telescope: P_m = -(g_1 + ... + g_m).
-    """
-    g = boundary_gradients(pc)
-    return -np.cumsum(g)[:-1]
-
-
-def level_set_check(pot, T=math.exp(-1), seed=0):
-    """Evaluate the Toda Hamiltonians at every critical point of the potential.
+def level_set_check(pot, seed=0):
+    """The Toda Hamiltonians at every critical point of the potential at T = e^{-1}.
 
     The Lax diagonal holds the momenta of Givental-Kim's quantum Toda
     lattice (Comm. Math. Phys. 168, 1995), p_i = df/dt_i = g_{i+1}, the
@@ -197,12 +150,10 @@ def level_set_check(pot, T=math.exp(-1), seed=0):
 
     if not pot.flag.is_full():
         raise ValueError("the Toda correspondence needs a full flag")
-    if abs(T - np.exp(-1)) > 1e-12:
-        raise ValueError("the change of variables is stated at T = e^{-1}")
     lam = [float(x) for x in pot.lam]
     q = tuple(np.exp(lam[i] - lam[i - 1]) for i in range(1, len(lam)))
     report = []
-    for cp in critical_points(pot, T, seed=seed):
+    for cp in critical_points(pot, math.exp(-1), seed=seed):
         s = np.log(cp.y.astype(complex))
         # T_{ij} = u_{ij} - x_{ij} = -log y_{ij} at T = e^{-1}
         pc = gc_to_toda(s, np.zeros_like(s), lam)

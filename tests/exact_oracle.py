@@ -4,7 +4,9 @@ Gaussian elimination over Fractions (rank, solve, affine_dim), a pulling
 triangulation with a determinant per simplex (volume_of), and the vertex
 decision on every lambda-valued pattern (pattern_vertices).  The library
 answers these questions combinatorially from the pattern graph; these are
-the direct computations, slow but independent of that argument.
+the direct computations, slow but independent of that argument.  The
+interior lattice points (interior_lattice_points) are found by a scan
+over every lattice point.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from itertools import product
 from math import factorial
 
 from gcflag.exactla import det, to_fraction
+from gcflag.polytopes import lattice_points
 
 
 def rank(rows):
@@ -143,3 +146,18 @@ def volume_of(points, facet_sets):
         ]
         total += abs(det(rows)) / fact
     return total
+
+
+def interior_lattice_points(poly):
+    """Lattice points strictly inside every facet, in sorted order.
+
+    For integral lambda every tau is an integer, so <v, p> > tau is decided
+    on Python ints, one pass over the facets per point.
+    """
+    facets = [(f.v, int(f.tau)) for f in poly.facets]
+    out = []
+    for p in lattice_points(poly):
+        q = [int(x) for x in p]
+        if all(sum(c * x for c, x in zip(v, q)) > tau for v, tau in facets):
+            out.append(p)
+    return out

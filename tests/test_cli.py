@@ -24,7 +24,7 @@ EXPORTS = {
     "flags": "FlagType LadderDiagram anticanonical_lambda dimension ladder_diagram meet_join "
     "normalize_index_set path_count positive_paths",
     "polytopes": "Facet GCPattern GCPolytope build_polytope dual_volume free_positions "
-    "interior_lattice_points is_reflexive lattice_point_count lattice_points polytope_from_json "
+    "is_reflexive lattice_point_count lattice_points polytope_from_json "
     "polytope_to_json simplicial_cone_determinant volume volume_formula weyl_dimension",
     "system": "arrow_completion fiber_point gc_map random_orbit_point",
     "degeneration": "PluckerPoint TorusPoint binomial_relation_holds deformed_plucker moment_mu "
@@ -42,7 +42,7 @@ def test_package_exports():
     # any of them fails here
     names = {name: layer for layer, names in EXPORTS.items() for name in names.split()}
     assert sorted(gcflag.__all__) == sorted([*names, *EXPORTS, "exactla"])
-    assert len(gcflag.__all__) == 62
+    assert len(gcflag.__all__) == 61
     for name, layer in names.items():
         assert getattr(gcflag, name) is getattr(sys.modules["gcflag." + layer], name), name
     for layer in [*EXPORTS, "exactla"]:

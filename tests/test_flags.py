@@ -11,6 +11,7 @@ from gcflag.flags import (
     path_count,
     positive_paths,
 )
+from gcflag.polytopes import is_pinned
 
 
 def test_parse_roundtrip():
@@ -68,6 +69,8 @@ def test_ladder_boxes_count_equals_dimension():
     for fl in [FlagType.full(3), FlagType.full(5), FlagType.grassmannian(2, 4),
                FlagType(5, (2, 4)), FlagType(6, (1, 4))]:
         assert len(ladder_diagram(fl).boxes) == dimension(fl)
+        # the top row of the pattern is lambda itself
+        assert all(is_pinned(fl, fl.n, i) for i in range(1, fl.n + 1))
 
 
 def test_ladder_corners():

@@ -5,7 +5,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact_oracle import affine_dim, pattern_vertices, rank, solve, volume_of
+from exact_oracle import (
+    affine_dim,
+    interior_lattice_points,
+    pattern_vertices,
+    rank,
+    solve,
+    volume_of,
+)
 from gcflag.criteria import FIXED_CASES
 from gcflag.exactla import det
 from gcflag.flags import FlagType, anticanonical_lambda, dimension
@@ -15,7 +22,6 @@ from gcflag.polytopes import (
     build_polytope,
     dual_volume,
     free_positions,
-    interior_lattice_points,
     is_reflexive,
     lattice_point_count,
     lattice_points,
@@ -584,12 +590,12 @@ def test_json_roundtrip():
     assert doc["lambda"][0] == "3/2"
 
 
-def test_coords_override():
-    default = free_positions(F3)
-    swapped = tuple(reversed(default))
-    poly = build_polytope(F3, [2, 0, -2], coords=swapped)
-    assert poly.coords == swapped
-    base = build_polytope(F3, [2, 0, -2])
-    assert volume(poly) == volume(base)
-    with pytest.raises(ValueError):
-        build_polytope(F3, [2, 0, -2], coords=[(1, 1), (2, 1), (2, 1)])
+def test_json_rejects_permuted_coords():
+    # a consistent document in the reversed coordinate order: the Toda
+    # layer and the moment maps read free_positions order, so it must not load
+    doc = polytope_to_json(build_polytope(F3, [2, 0, -2]))
+    doc["coords"] = doc["coords"][::-1]
+    for f in doc["facets"]:
+        f["v"] = f["v"][::-1]
+    with pytest.raises(ValueError, match="coords"):
+        polytope_from_json(doc)

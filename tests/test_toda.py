@@ -9,12 +9,9 @@ from gcflag.potential import build_potential, critical_points
 from gcflag.toda import (
     PhaseCoordinates,
     TodaState,
-    boundary_gradients,
     gc_to_toda,
     level_set_check,
-    momenta,
     phase_function,
-    phase_term_count,
     toda_hamiltonians,
 )
 
@@ -55,10 +52,13 @@ def test_hamiltonians_exact_fractions():
 def test_hamiltonians_against_charpoly():
     # oracle: D_i are the coefficients of det(xI + A) via numpy.poly(-A)
     rng = np.random.default_rng(0)
-    for n in (2, 3, 4, 5):
-        for _ in range(20):
+    for n in (1, 2, 3, 4, 5):
+        for trial in range(20):
             p = rng.standard_normal(n)
             q = rng.standard_normal(n - 1)
+            if trial % 2:  # level_set_check passes complex gradients
+                p = p + 1j * rng.standard_normal(n)
+                q = q + 1j * rng.standard_normal(n - 1)
             A = np.diag(p) + np.diag(q, 1) + np.diag(-np.ones(n - 1), -1)
             coeffs = np.poly(-A)  # [1, D_1, ..., D_n]
             D = toda_hamiltonians(TodaState(p=tuple(p), q=tuple(q)))
@@ -97,9 +97,7 @@ def test_phase_coordinates_boundary():
         PhaseCoordinates(n=3, T={(1, 1): 0.0})
 
 
-def test_phase_term_count():
-    for n in (2, 3, 4, 5):
-        assert phase_term_count(n) == n * (n - 1)
+def test_phase_function_positive_at_flat_fill():
     pc = make_pc(3, (2.0, 0.0, -2.0))
     # 6 unit terms when every interior difference is zero... count by value
     # at the flat fill the X terms with j+1 on the boundary pick up lam
@@ -116,12 +114,6 @@ def test_gc_to_toda_boundary_and_interior():
     coords = free_positions(FlagType.full(3))
     a = coords.index((1, 1))
     assert pc.T[(1, 1)] == pytest.approx(u[a] - x[a])
-
-
-def test_gc_to_toda_rejects_partial_flag():
-    with pytest.raises(ValueError):
-        gc_to_toda([0, 0, 0, 0], [0, 0, 0, 0], [1, 1, -1, -1],
-                   flag=FlagType.grassmannian(2, 4))
 
 
 def test_phase_equals_potential_at_e_inverse():
@@ -141,13 +133,6 @@ def test_phase_equals_potential_at_e_inverse():
         f = phase_function(pc)
         w = pot.value(np.asarray(x - u, dtype=complex), -1.0)
         assert abs(f - w) < 1e-12 * max(1.0, abs(f))
-
-
-def test_momenta_telescoping():
-    pc = gc_to_toda([0.1, 0.2, 0.3], [1.0, -1.0, 0.0], (2.0, 0.0, -2.0))
-    g = boundary_gradients(pc)
-    P = momenta(pc)
-    assert np.allclose(P, -np.cumsum(g)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +162,6 @@ def test_level_set_requires_full_flag_and_fixed_T():
     )
     with pytest.raises(ValueError):
         level_set_check(pot)
-    pot3 = build_potential(build_polytope(FlagType.full(3), [2, 0, -2]))
-    with pytest.raises(ValueError):
-        level_set_check(pot3, T=0.5)
 
 
 def test_critical_count_n3_is_factorial():
