@@ -15,7 +15,7 @@ flags, exactla, polytopes, system, degeneration, potential, toda = (
 _EXPORTS = {
     "flags": """FlagType LadderDiagram anticanonical_lambda dimension ladder_diagram
         meet_join normalize_index_set path_count positive_paths""",
-    "polytopes": """Facet GCPattern GCPolytope build_polytope dual_volume free_positions
+    "polytopes": """Facet GCPolytope build_polytope dual_volume free_positions
         is_reflexive lattice_point_count lattice_points polytope_from_json
         polytope_to_json simplicial_cone_determinant volume volume_formula
         weyl_dimension""",

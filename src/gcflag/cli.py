@@ -48,12 +48,15 @@ def _build(args):
 
 def cmd_polytope(args):
     flag, poly = _build(args)
+    integral = all(x.denominator == 1 for x in poly.lam)
+    if args.csv and not integral:
+        raise ValueError("--csv needs integral lambda: lattice points are integral patterns")
     doc = pl.polytope_to_json(poly)
     doc["dimension"] = poly.N
     doc["vertices"] = [[pl.frac_str(x) for x in v] for v, _ in poly.vertices()]
     doc["volume"] = pl.frac_str(pl.volume(poly))
     doc["volume_formula"] = pl.frac_str(pl.volume_formula(flag, poly.lam))
-    if all(x.denominator == 1 for x in poly.lam):
+    if integral:
         doc["lattice_point_count"] = pl.lattice_point_count(poly)
         if flag.is_full():
             doc["weyl_dimension"] = pl.weyl_dimension(poly.lam)
@@ -102,10 +105,17 @@ def cmd_critical(args):
         "laurent": pot.render(),
         "critical_count": count,
         "cohomology_rank": rank,
+        "terms": [{"v": list(v), "tau": pl.frac_str(t)} for v, _, t in pot.terms],
+        "critical": [
+            {
+                "y_re": [float(x) for x in p.y.real],
+                "y_im": [float(x) for x in p.y.imag],
+                "valuation": [float(x) for x in p.valuation],
+                "nondegenerate": p.nondegenerate,
+            }
+            for p in points
+        ],
     }
-    rep = pt.potential_report(pot, points)
-    doc["terms"] = rep["terms"]
-    doc["critical"] = rep["critical"]
     doc["positive_real_minimum"] = {
         "y": [float(x) for x in posmin.y.real],
         "valuation": [float(x) for x in posmin.valuation],
@@ -187,11 +197,9 @@ def main(argv=None):
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_lambda=True):
-        p.add_argument("--flag", required=need_lambda, help='flag type, e.g. "1,2|3" or "2|4"')
-        if need_lambda:
-            p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
-        p.add_argument("--seed", type=int, default=0)
+    def common(p):
+        p.add_argument("--flag", required=True, help='flag type, e.g. "1,2|3" or "2|4"')
+        p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("polytope", help="facets, vertices, volume, reflexivity")
@@ -206,10 +214,12 @@ def main(argv=None):
     p = sub.add_parser("critical", help="critical points, valuations, Hessians")
     common(p)
     p.add_argument("--T", default="e-1", help='Novikov parameter in (0,1), or "e-1"')
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("toda", help="Toda level-set diagnostic at T=e^-1")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_toda)
 
     p = sub.add_parser("verify", help="run the acceptance criteria, grouped into suites")

@@ -77,34 +77,6 @@ def free_positions(flag):
     )
 
 
-class GCPattern(namedtuple("GCPattern", "rows")):
-    """A full triangular interlacing array, rows indexed 1..n (row n = lambda);
-    rows[k-1] is row k as a tuple of Fractions."""
-
-    __slots__ = ()
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def entry(self, k, i):
-        return self.rows[k - 1][i - 1]
-
-    def check_interlacing(self, strict=False):
-        for k in range(1, self.n):
-            for i in range(1, k + 1):
-                up_left = self.entry(k + 1, i)
-                up_right = self.entry(k + 1, i + 1)
-                mid = self.entry(k, i)
-                if strict:
-                    if not (up_left > mid > up_right):
-                        return False
-                else:
-                    if not (up_left >= mid >= up_right):
-                        return False
-        return True
-
-
 class Facet(namedtuple("Facet", "v tau tau_blocks pair")):
     """One supporting halfspace ell(u) = <v, u> - tau >= 0.
 
@@ -132,25 +104,16 @@ class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
     # -- pattern assembly -------------------------------------------------
 
     def pattern(self, u):
-        """Assemble the full triangular pattern from coordinates u."""
+        """The pattern with coordinates u as a _patterns tuple: rows run
+        top-down, so row k is rows[n - k] (_cell) and rows[0] is lambda."""
         u = tuple(u)
         if len(u) != self.N:
             raise ValueError("expected %d coordinates, got %d" % (self.N, len(u)))
-        vals = dict(zip(self.coords, u))
-        rows = []
-        for k in range(1, self.flag.n):
-            row = []
-            for i in range(1, k + 1):
-                if (k, i) in vals:
-                    row.append(vals[(k, i)])
-                else:
-                    row.append(self.lam[i - 1])
-            rows.append(tuple(row))
-        rows.append(tuple(self.lam))
-        return GCPattern(rows=tuple(rows))
-
-    def coordinates_of(self, pattern):
-        return tuple(pattern.entry(k, i) for (k, i) in self.coords)
+        n = self.flag.n
+        rows = [list(self.lam[:k]) for k in range(n, 0, -1)]  # a pinned (k, i) equals lambda_i
+        for (k, i), x in zip(self.coords, u):
+            rows[n - k][i - 1] = x
+        return tuple(map(tuple, rows))
 
     # -- membership -------------------------------------------------------
 
@@ -304,13 +267,15 @@ def build_polytope(flag, lam):
     """Build the irredundant facet description of the Gelfand-Cetlin polytope.
 
     One inequality is generated per adjacent pattern pair; constant-constant
-    pairs are dropped.  Candidate j is kept iff its face is (N-1)-dimensional:
-    the normals tight at every vertex of the face are its implicit
-    equalities, so j is a facet iff those normals have rank 1 (_join).  The
-    vertices are those of the polytope cut out by all candidates, found
-    once and handed to the polytope returned, whose coords are always
-    free_positions(flag): gc_map, the moment maps and the Toda layer read
-    that order.
+    pairs are dropped.  No two candidates coincide: a normal e_a - e_b names
+    its pair, and of the two entries bounding a free entry from one side at
+    most one is pinned (both would pin it too).  Candidate j is kept iff its
+    face is (N-1)-dimensional: the normals tight at every vertex of the face
+    are its implicit equalities, so j is a facet iff those normals have rank
+    1 (_join).  The vertices are those of the polytope cut out by all
+    candidates, found once and handed to the polytope returned, whose coords
+    are always free_positions(flag): gc_map, the moment maps and the Toda
+    layer read that order.
     """
     lam = validate_lambda(flag, lam)
     coords = free_positions(flag)
@@ -328,7 +293,6 @@ def build_polytope(flag, lam):
         return ("free", index[(k, i)])
 
     candidates = []
-    seen = set()
     for k in range(n - 1, 0, -1):
         for i in range(1, k + 1):
             for upper, lower in (((k + 1, i), (k, i)), ((k, i), (k + 1, i + 1))):
@@ -343,10 +307,6 @@ def build_polytope(flag, lam):
                     else:
                         cb[t[1] - 1] += sgn
                 tau_blocks = tuple(-c for c in cb)
-                key = (tuple(v), tau_blocks)
-                if key in seen:
-                    continue
-                seen.add(key)
                 tau = sum(
                     Fraction(c) * lam[d[l + 1] - 1] for l, c in enumerate(tau_blocks)
                 )
@@ -604,10 +564,6 @@ class LoopError(ValueError):
     """The selected equality set contains a loop in the pattern graph."""
 
 
-class RankDeficientError(ValueError):
-    """The selected facet normals do not span R^N."""
-
-
 _GROUND = "lambda"
 
 
@@ -660,7 +616,7 @@ def selection_is_loop_free(poly, facet_indices):
 
 
 def simplicial_cone_determinant(poly, vertex, facet_indices):
-    """|det| of the N normals selected at a vertex; must be 1 when loop-free."""
+    """det of the N normals selected at a vertex; |det| must be 1 when loop-free."""
     vertex = tuple(to_fraction(x) for x in vertex)
     facet_indices = list(facet_indices)
     if len(facet_indices) != poly.N:
@@ -670,10 +626,7 @@ def simplicial_cone_determinant(poly, vertex, facet_indices):
             raise ValueError("ray %d is not active at the vertex" % j)
     if not selection_is_loop_free(poly, facet_indices):
         raise LoopError("equality set contains a loop")
-    d = det([[Fraction(c) for c in poly.facets[j].v] for j in facet_indices])
-    if d == 0:
-        raise RankDeficientError("ray selection is rank-deficient")
-    return d
+    return det([[Fraction(c) for c in poly.facets[j].v] for j in facet_indices])
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ and fitting the slope of log|y_k| against log T.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
 from ._lazy import lazy
-from .polytopes import frac_str
 
 np = lazy("numpy")
 
@@ -82,11 +80,8 @@ class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms pol
         taus.flags.writeable = False
         return taus
 
-    def exponents(self, s, logT):
-        return self._vm @ s - self._taus * logT
-
     def terms_at(self, s, logT):
-        return np.exp(self.exponents(s, logT))
+        return np.exp(self._vm @ s - self._taus * logT)
 
     def value(self, s, logT):
         return self.terms_at(s, logT).sum()
@@ -436,22 +431,3 @@ def cohomology_rank(flag):
         rank //= factorial(k)
     return rank
 
-
-def potential_report(pot, points):
-    """JSON-ready report with the spec'd field layout."""
-    return {
-        "terms": [
-            {"v": list(v), "tau": frac_str(t)} for v, _, t in pot.terms
-        ],
-        "critical": [
-            {
-                "y_re": [float(x) for x in p.y.real],
-                "y_im": [float(x) for x in p.y.imag],
-                "valuation": None
-                if p.valuation is None
-                else [float(x) for x in p.valuation],
-                "nondegenerate": p.nondegenerate,
-            }
-            for p in points
-        ],
-    }

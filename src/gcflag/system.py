@@ -120,7 +120,7 @@ def fiber_point(poly, u):
     if not poly.contains_float(u):
         raise ValueError("point is not in the polytope")
     pat = poly.pattern([round(float(x), 12) for x in u])
-    rows = [[float(x) for x in row] for row in pat.rows]
+    rows = [[float(x) for x in row] for row in reversed(pat)]
     n = poly.flag.n
     x = np.array([[rows[0][0]]], dtype=complex)
     for k in range(1, n):

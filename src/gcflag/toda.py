@@ -150,14 +150,12 @@ def level_set_check(pot, seed=0):
 
     if not pot.flag.is_full():
         raise ValueError("the Toda correspondence needs a full flag")
-    lam = [float(x) for x in pot.lam]
-    q = tuple(np.exp(lam[i] - lam[i - 1]) for i in range(1, len(lam)))
     report = []
     for cp in critical_points(pot, math.exp(-1), seed=seed):
         s = np.log(cp.y.astype(complex))
         # T_{ij} = u_{ij} - x_{ij} = -log y_{ij} at T = e^{-1}
-        pc = gc_to_toda(s, np.zeros_like(s), lam)
-        D = toda_hamiltonians(TodaState(p=tuple(boundary_gradients(pc)), q=q))
+        pc = gc_to_toda(s, np.zeros_like(s), pot.lam)
+        D = toda_hamiltonians(TodaState(p=tuple(boundary_gradients(pc)), q=pc.q()))
         report.append(
             {
                 "y": cp.y,

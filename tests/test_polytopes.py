@@ -257,9 +257,9 @@ def test_pattern_roundtrip():
     poly = build_polytope(F3, [2, 0, -2])
     u = (Fraction(1), Fraction(-1), Fraction(0))
     pat = poly.pattern(u)
-    assert pat.rows[2] == (Fraction(2), Fraction(0), Fraction(-2))
-    assert poly.coordinates_of(pat) == u
-    assert pat.check_interlacing()
+    assert pat == ((2, 0, -2), (1, -1), (0,))
+    assert tuple(pat[poly.flag.n - k][i - 1] for k, i in poly.coords) == u
+    assert all(up[i] >= x >= up[i + 1] for up, row in zip(pat, pat[1:]) for i, x in enumerate(row))
     assert poly.contains(u, strict=True)
     assert not poly.contains((3, 0, 0))
     assert poly.contains_float([1.0, -1.0, 0.0])

@@ -20,7 +20,6 @@ from gcflag.potential import (
     critical_valuation,
     hessian_nondegenerate,
     positive_real_minimum,
-    potential_report,
 )
 
 F2 = FlagType.full(2)
@@ -424,15 +423,20 @@ def test_cohomology_ranks():
     assert cohomology_rank(FlagType(5, (2, 4))) == 30
 
 
-def test_potential_report_layout():
+
+def test_potential_report_layout(capsys):
+    # the JSON report of `gc critical`: one entry per Laurent term and per
+    # critical point, with the field layout it has always had
     import json
 
-    pot = pot_f3()
-    pts = critical_points(pot, np.exp(-1.0))
-    rep = potential_report(pot, pts)
-    blob = json.dumps(rep)
-    back = json.loads(blob)
+    from gcflag.cli import main
+
+    assert main(["critical", "--flag", "1,2|3", "--lambda", "2,0,-2", "--T", "e-1"]) == 0
+    back = json.loads(capsys.readouterr().out)
     assert len(back["terms"]) == 6
     assert back["terms"][0]["v"] == [-1, 0, 0]
     assert back["terms"][0]["tau"] == "-2"
     assert len(back["critical"]) == 6
+    for p in back["critical"]:
+        assert sorted(p) == ["nondegenerate", "valuation", "y_im", "y_re"]
+        assert len(p["y_re"]) == len(p["y_im"]) == len(p["valuation"]) == 3

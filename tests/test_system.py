@@ -187,7 +187,6 @@ def test_trace_telescoping():
     poly = build_polytope(FlagType.full(4), [3, 1, -1, -3])
     u = gc_map(random_orbit_point([3, 1, -1, -3], seed=9), poly)
     x = fiber_point(poly, u)
-    pat = poly.pattern([round(float(v), 12) for v in u])
     # float pattern rows: row k entries sum to trace of leading k-block
     vals = {}
     for (k, i), val in zip(poly.coords, u):
