@@ -277,7 +277,7 @@ def determinants():
     """Every loop-free selection of N facets at a vertex has |det| = 1, and
     every vertex has one: its tight normals have rank N."""
     t0 = time.monotonic()
-    dets, bare = [], 0
+    dets, bare, vertices = [], 0, 0
     for fl, lam in DET_CASES:
         poly = pl.build_polytope(fl, lam)
         for vertex, active in poly.vertices():
@@ -288,6 +288,7 @@ def determinants():
                 except pl.LoopError:
                     continue  # no simplicial cone at this selection
             bare += len(dets) == found
+            vertices += 1
     dt = time.monotonic() - t0
     # a loop-free selection of N normals is a spanning forest with N edges,
     # so its rank is N: a zero determinant is a fault, as is a bare vertex
@@ -295,8 +296,9 @@ def determinants():
     ok = worst == 0 and dt < 60.0
     return Outcome(
         ok, float(worst),
-        "|det| = 1 for %d loop-free selections, at least one at each vertex, all flags "
-        "n <= 4 anticanonical and 3 more weights (%.1fs)" % (len(dets), dt),
+        "%d of %d loop-free selections have |det| != 1, %d of %d vertices have no "
+        "loop-free selection; all flags n <= 4 anticanonical and 3 more weights (%.1fs)"
+        % (sum(d != 1 for d in dets), len(dets), bare, vertices, dt),
     )
 
 

@@ -6,11 +6,15 @@ facet with normal v and offset tau contributes prod_k y_k^{v_k} times
 prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
 Newton iteration in logarithmic coordinates, run on a deterministic grid
-of starts (vertices and barycenter of the polytope) all at once;
-valuations are estimated by tracking all branches together to small T
-and fitting the slope of log|y_k| against log T.
+of starts (vertices and barycenter of the polytope, with sixth-root
+phases drawn from random.Random(seed) when the grid is large) all at
+once.  Valuations are estimated by tracking all branches together to
+small T, on one adaptive predictor-corrector in log T whose predictor
+is exact where log y = u log T + c, and fitting the slope of log|y_k|
+against log T.
 """
 
+import random
 from collections import namedtuple
 from functools import cached_property
 from math import factorial
@@ -128,8 +132,13 @@ class CriticalPoint:
 # very different sizes cancel at a critical point.
 
 NEWTON_TOL = 1e-12  # Newton has converged when max|dW/ds| <= NEWTON_TOL * scale
-VALUATION_TOL = 1e-11  # the same test on each rung of the continuation in T
+VALUATION_TOL = 1e-11  # the same test on each step of the continuation in T
 VALUATION_LADDER = (1e-2, 1e-3, 1e-4)  # the continuation fits log|y| at these T, in this order
+TRACK_FIRST_STEP = 0.5  # the continuation's first step in log T
+TRACK_MIN_STEP = 1e-4  # a step in log T cut below this means a branch is lost
+TRACK_MAXIT = 5  # a continuation step whose corrector needs more Newton iterations is rejected
+TRACK_EASY_IT = 2  # after a step that took at most this many, the next step is twice as long
+CORRECTION_RATIO = 0.25  # the corrector may move a row at most this times its predicted move
 NEWTON_MAXIT = 80  # a start that has not converged after this many steps fails
 STEP_CAP = 2.0  # a Newton step moves at most this far in log space (max norm)
 DRIFT_TOL = 1e-6  # a longer Newton step at a converged point marks a flat valley
@@ -245,9 +254,9 @@ def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None):
 def _start_grid(pot, T, seed=0, max_starts=4000):
     """Deterministic starts, a (B, N) array: magnitudes T^u over the
     barycenter and the vertices of the polytope, sixth-root phases.
-    Subsampled reproducibly when the full grid is too large: fewer random
-    phases per magnitude, and past max_starts magnitudes one start each at
-    an even stride over the whole list."""
+    Subsampled reproducibly when the full grid is too large: fewer phases
+    per magnitude, drawn from random.Random(seed), and past max_starts
+    magnitudes one start each at an even stride over the whole list."""
     poly = pot.poly
     mags = np.array(
         [poly.interior_point()] + [v for v, _ in poly.vertices()], dtype=float
@@ -259,17 +268,15 @@ def _start_grid(pot, T, seed=0, max_starts=4000):
         draws = max_starts // len(mags)
     elif 6**N <= 64:
         draws = None  # every phase combination
-        every = np.arange(6**N)[:, None] // 6 ** np.arange(N) % 6
     else:
         draws = 6 * N
-    logT = np.log(T)
+    if draws is None:
+        picks = (np.arange(6**N)[:, None] // 6 ** np.arange(N) % 6)[None]
+    else:
+        picks = random.Random(seed).choices(range(6), k=len(mags) * draws * N)
+        picks = np.reshape(picks, (len(mags), draws, N))
     phases = 2j * np.pi * np.arange(6) / 6
-    rng = np.random.default_rng(seed)
-    starts = [
-        u * logT + phases[every if draws is None else rng.integers(0, 6, (draws, N))]
-        for u in mags
-    ]
-    return np.concatenate(starts)
+    return (mags[:, None, :] * np.log(T) + phases[picks]).reshape(-1, N)
 
 
 def _order_key(y):
@@ -371,16 +378,93 @@ def hessian_nondegenerate(pot, T, y):
     return _nondegenerate(dh, scale, pot.N), dh
 
 
-def critical_valuation(pot, points):
+def _apart(Y):
+    """(B, B) mask of the row pairs of Y that differ by more than DEDUP_TOL
+    in some coordinate, relative to the larger of the two values there:
+    per coordinate, because at small T their sizes differ by many orders
+    of magnitude."""
+    far = np.zeros((len(Y), len(Y)), bool)
+    for y in Y.T:
+        far |= np.abs(y[:, None] - y) > DEDUP_TOL * np.maximum(np.abs(y)[:, None], np.abs(y))
+    return far
+
+
+def _correct(pot, S, logT):
+    """The corrector of _track: Newton at logT on every row of S, at least
+    one step and at most TRACK_MAXIT, until max|dW/ds| <= VALUATION_TOL *
+    sum|terms| on every row.  Returns (S, E, H, steps) with the terms and
+    Hessians at the returned rows, or None if some row is singular or has
+    not converged."""
+    E, G, H = _derivatives(pot, S, logT)
+    for it in range(1, TRACK_MAXIT + 1):
+        step, ok = _solve_rows(H, G)
+        if not ok.all():
+            return None
+        S = S - step
+        E, G, H = _derivatives(pot, S, logT)
+        if (np.abs(G).max(axis=1) <= VALUATION_TOL * np.abs(E).sum(axis=1)).all():
+            return S, E, H, it
+    return None
+
+
+def _track(pot, S, logT, stats):
+    """Continue the rows of S, critical points at logT, down through the T
+    of VALUATION_LADDER; returns their real parts at each of those T.
+
+    Each step moves all rows by h in log T.  The predictor follows the
+    tangent dS/dlogT = H^-1 ((E tau) @ V) at the last accepted rows, exact
+    where log y = u log T + c.  A step is rejected and h halved when
+    _correct fails, corrects a row by more than CORRECTION_RATIO of its
+    predicted move, or brings together two rows that were distinct at the
+    start (a collision: a branch jumped onto another).  h doubles after a
+    step that took at most TRACK_EASY_IT Newton steps, and is cut to land
+    on each T of the ladder.  stats counts the steps and their outcomes.
+    """
+    apart = _apart(np.exp(S))
+    E, _, H = _derivatives(pot, S, logT)
+    h, samples = TRACK_FIRST_STEP, []
+    for target in np.log(VALUATION_LADDER):
+        while logT > target:
+            if h < TRACK_MIN_STEP:
+                raise RuntimeError("continuation lost the branch")
+            stats["steps"] += 1
+            t1 = max(logT - h, target)
+            tangent, ok = _solve_rows(H, (E * pot._taus) @ pot._vm)
+            predicted = S + (t1 - logT) * tangent
+            out = _correct(pot, predicted, t1) if ok.all() else None
+            if out is not None:
+                moved = np.abs(predicted - S).max(axis=1)
+                if (np.abs(out[0] - predicted).max(axis=1) > CORRECTION_RATIO * moved).any():
+                    out = None
+                elif (apart & ~_apart(np.exp(out[0]))).any():
+                    stats["collisions"] += 1
+                    out = None
+            if out is None:
+                stats["rejected"] += 1
+                h /= 2
+                continue
+            stats["accepted"] += 1
+            S, E, H, it = out
+            logT = t1
+            if it <= TRACK_EASY_IT:
+                h *= 2
+        samples.append(S.real.ravel())
+    return samples
+
+
+def critical_valuation(pot, points, stats=None):
     """Estimate v(y_k) by continuation of branches to small T.
 
     points is one CriticalPoint or a sequence of points that share their
-    T.  All branches are tracked together, one batched Newton per step,
-    from T down through VALUATION_LADDER (the path depends only on T),
-    and log|y_k| is fit against log T.  The valuation and the
-    fit residual are stored on each point.  Returns the valuation vector
-    of a single point, or a (len(points), N) array.  Raises RuntimeError
-    if any branch is lost.
+    T.  All branches are tracked together by _track, from T down through
+    VALUATION_LADDER (the path depends only on T), and log|y_k| is fit
+    against log T.  The valuation and the fit residual are stored on each
+    point.  Returns the valuation vector of a single point, or a
+    (len(points), N) array.  Raises RuntimeError if any branch is lost.
+
+    If stats is a dict it receives the tracker's counts: steps attempted,
+    accepted and rejected, and collisions, the rejections because two
+    branches met.
     """
     single = isinstance(points, CriticalPoint)
     pts = [points] if single else list(points)
@@ -389,17 +473,9 @@ def critical_valuation(pot, points):
     T = pts[0].T
     if any(p.T != T for p in pts):
         raise ValueError("points must share their T")
-    S = np.log(np.array([p.y for p in pts], dtype=complex))
-    samples = []
-    for target in VALUATION_LADDER:
-        # geometric continuation path
-        steps = max(3, int(np.ceil(8 * abs(np.log(target) - np.log(T)))))
-        for logT in np.linspace(np.log(T), np.log(target), steps + 1)[1:]:
-            S, _, converged, _ = _newton(pot, S, logT, tol=VALUATION_TOL)
-            if not converged.all():
-                raise RuntimeError("continuation lost the branch")
-        samples.append(S.real.ravel())
-        T = target
+    stats = {} if stats is None else stats
+    stats.update(steps=0, accepted=0, rejected=0, collisions=0)
+    samples = _track(pot, np.log(np.array([p.y for p in pts], dtype=complex)), np.log(T), stats)
     xs = np.log(VALUATION_LADDER)
     A = np.vstack([xs, np.ones_like(xs)]).T
     fit, res, _, _ = np.linalg.lstsq(A, np.array(samples), rcond=None)

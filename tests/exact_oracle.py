@@ -6,15 +6,20 @@ decision on every lambda-valued pattern (pattern_vertices).  The library
 answers these questions combinatorially from the pattern graph; these are
 the direct computations, slow but independent of that argument.  The
 interior lattice points (interior_lattice_points) are found by a scan
-over every lattice point.
+over every lattice point.  The one numeric reference, ladder_valuations,
+continues critical points in T by the batched Newton on a fixed fine
+ladder, with no step control.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
+import numpy as np
+
 from gcflag.exactla import det, to_fraction
 from gcflag.polytopes import lattice_points
+from gcflag.potential import VALUATION_LADDER, VALUATION_TOL, _newton
 
 
 def rank(rows):
@@ -161,3 +166,22 @@ def interior_lattice_points(poly):
         if all(sum(c * x for c, x in zip(v, q)) > tau for v, tau in facets):
             out.append(p)
     return out
+
+
+def ladder_valuations(pot, points, per_unit=32):
+    """Valuations of critical points that share their T, as a (B, N) array:
+    Newton to VALUATION_TOL at per_unit evenly spaced values per unit of
+    log T down to each T of VALUATION_LADDER, and the least-squares slope
+    of log|y_k| against log T there.  Asserts that every rung converges."""
+    S = np.log(np.array([p.y for p in points], dtype=complex))
+    logT, samples = np.log(points[0].T), []
+    for target in np.log(VALUATION_LADDER):
+        rungs = max(3, int(np.ceil(per_unit * (logT - target))))
+        for t in np.linspace(logT, target, rungs + 1)[1:]:
+            S, _, converged, _ = _newton(pot, S, t, tol=VALUATION_TOL)
+            assert converged.all(), "the ladder lost a branch at log T = %g" % t
+        samples.append(S.real)
+        logT = target
+    x = np.log(VALUATION_LADDER)
+    x = x - x.mean()
+    return np.tensordot(x, np.array(samples), axes=1) / (x @ x)

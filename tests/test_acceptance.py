@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gcflag import criteria
+from gcflag.polytopes import build_polytope
 
 
 def criterion_test(c):
@@ -40,6 +41,29 @@ def test_sampled_criteria_refuse_no_draws(fn, samples):
 
 
 def test_determinants_fail_on_a_zero_determinant(monkeypatch):
-    # a loop-free selection has rank N, so det = 0 is a fault, not a skip
-    monkeypatch.setattr("gcflag.polytopes.det", lambda rows: Fraction(0))
-    assert criteria.determinants().passed is False
+    # a loop-free selection has rank N, so det = 0 is a fault, not a skip;
+    # the detail counts what failed
+    calls = []
+
+    def zero(rows):
+        calls.append(rows)
+        return Fraction(0)
+
+    monkeypatch.setattr("gcflag.polytopes.det", zero)
+    outcome = criteria.determinants()
+    assert outcome.passed is False
+    selections = "%d of %d loop-free selections have |det| != 1" % (len(calls), len(calls))
+    assert selections in outcome.detail
+    assert ", 0 of " in outcome.detail and len(calls) > 0
+
+
+def test_determinants_fail_on_a_vertex_without_a_selection(monkeypatch):
+    # with every selection a loop, each vertex is bare and the detail says so
+    monkeypatch.setattr("gcflag.polytopes.selection_is_loop_free", lambda poly, sel: False)
+    vertices = sum(
+        len(build_polytope(fl, lam).vertices()) for fl, lam in criteria.DET_CASES
+    )
+    outcome = criteria.determinants()
+    assert outcome.passed is False
+    assert "0 of 0 loop-free selections have |det| != 1" in outcome.detail
+    assert "%d of %d vertices have no loop-free selection" % (vertices, vertices) in outcome.detail

@@ -303,3 +303,22 @@ assert "numpy.linalg" not in sys.modules, "numpy was loaded"
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_numeric_commands_do_not_import_numpy_random():
+    # the start phases come from the standard library's random, so gc
+    # critical and gc toda never load numpy.random, nor the secrets module
+    # (and hashlib's OpenSSL) that it imports
+    script = """
+import sys
+from gcflag.cli import main
+for cmd in ("critical", "toda"):
+    assert main([cmd, "--flag", "1,2,3|4", "--lambda", "5,2,0,-4", "--out", "/dev/null"]) == 0, cmd
+assert "numpy.linalg" in sys.modules
+loaded = [m for m in ("numpy.random", "secrets") if m in sys.modules]
+assert not loaded, loaded
+"""
+    src = os.path.dirname(os.path.dirname(gcflag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -1,15 +1,21 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from exact_oracle import ladder_valuations
 
 from gcflag.flags import FlagType
-from gcflag.polytopes import build_polytope
+from gcflag.polytopes import build_polytope, is_reflexive
 from gcflag import potential
 from gcflag.potential import (
     MINIMUM_TOL,
+    NEWTON_MAXIT,
     NEWTON_TOL,
     STEP_CAP,
+    TRACK_FIRST_STEP,
+    TRACK_MIN_STEP,
+    VALUATION_LADDER,
     _newton,
     _order_key,
     _solve_rows,
@@ -325,6 +331,99 @@ def test_batched_valuations_match_per_point(pot):
         assert np.abs(v - want).max() <= 1e-9
         assert np.array_equal(p.valuation, v)
     assert critical_valuation(pot, []).shape == (0, pot.N)
+
+
+# the six inputs of the benchmark's critical-solve workload, and the one
+# where a fixed ladder of 8 steps per unit of log T carried 4 branches
+# onto 4 others
+VALUATION_CASES = [
+    ("1,2|3", (2, 0, -2)),
+    ("2|4", (1, 1, -1, -1)),
+    ("1,2,3|4", (3, 1, -1, -3)),
+    ("1,2,3|4", (5, 2, 0, -4)),
+    ("2|5", (3, 3, -2, -2, -2)),
+    ("1,2|3", (2, Fraction(1, 2), -2)),
+    ("1,2,3,4|5", (7, 3, 0, -2, -8)),
+]
+JUMP_CASE = VALUATION_CASES[-1]
+
+
+@lru_cache(maxsize=None)
+def continued(flag, lam):
+    """The potential, its critical points and positive minimum at T = 1/e
+    (seed 0), and their valuations on a fixed ladder of 32 steps per unit
+    of log T."""
+    pot = build_potential(build_polytope(FlagType.parse(flag), lam))
+    T = np.exp(-1.0)
+    pts = critical_points(pot, T) + [positive_real_minimum(pot, T)]
+    return pot, pts, ladder_valuations(pot, pts)
+
+
+@pytest.mark.parametrize(
+    "flag,lam", VALUATION_CASES, ids=["%s@%s" % case for case in VALUATION_CASES]
+)
+def test_valuations_match_a_fine_fixed_ladder(flag, lam):
+    pot, pts, want = continued(flag, lam)
+    assert np.abs(critical_valuation(pot, pts) - want).max() <= 1e-8
+
+
+def test_tracker_counts_every_step(monkeypatch):
+    pot, pts, _ = continued(*JUMP_CASE)
+    attempts = []
+    correct = potential._correct
+
+    def counted(pot, S, logT):
+        attempts.append(logT)
+        return correct(pot, S, logT)
+
+    monkeypatch.setattr(potential, "_correct", counted)
+    stats = {}
+    critical_valuation(pot, pts, stats=stats)
+    assert stats["steps"] == len(attempts)
+    assert stats["accepted"] + stats["rejected"] == stats["steps"]
+    assert stats["accepted"] >= len(VALUATION_LADDER) and stats["rejected"] >= 1
+    assert 0 <= stats["collisions"] <= stats["rejected"]
+    # steps land on every T of the ladder
+    assert set(np.log(VALUATION_LADDER)) <= set(attempts)
+
+
+@pytest.mark.parametrize("guard", ["collision", "correction"])
+def test_each_guard_alone_keeps_the_branches(monkeypatch, guard):
+    # with the corrector uncapped, the first step at (7,3,0,-2,-8) converges
+    # with 4 branches on 4 others; either remaining guard rejects it
+    pot, pts, want = continued(*JUMP_CASE)
+    monkeypatch.setattr(potential, "TRACK_MAXIT", NEWTON_MAXIT)
+    if guard == "collision":
+        monkeypatch.setattr(potential, "CORRECTION_RATIO", np.inf)
+    else:
+        monkeypatch.setattr(potential, "_apart", lambda Y: np.ones((len(Y), len(Y)), bool))
+    stats = {}
+    vals = critical_valuation(pot, pts, stats=stats)
+    assert (stats["collisions"] >= 1) == (guard == "collision")
+    assert np.abs(vals - want).max() <= 1e-8
+
+
+def test_tracker_gives_up_below_its_smallest_step(monkeypatch):
+    # a corrector that never converges halves h until it is below the floor
+    monkeypatch.setattr(potential, "TRACK_MAXIT", 0)
+    pot = pot_f3()
+    stats = {}
+    with pytest.raises(RuntimeError, match="continuation lost the branch"):
+        critical_valuation(pot, critical_points(pot, np.exp(-1.0)), stats=stats)
+    halvings = int(np.floor(np.log2(TRACK_FIRST_STEP / TRACK_MIN_STEP)))
+    assert stats["steps"] == stats["rejected"] == halvings + 1
+    assert stats["accepted"] == stats["collisions"] == 0
+
+
+def test_valuations_continue_every_branch_at_n6_anticanonical():
+    # a fixed ladder of 8 steps per unit of log T lost branches here; the
+    # positive minimum tends to the polytope's one interior lattice point
+    poly = build_polytope(FlagType.full(6), [5, 3, 1, -1, -3, -5])
+    pot = build_potential(poly)
+    T = np.exp(-1.0)
+    vals = critical_valuation(pot, critical_points(pot, T) + [positive_real_minimum(pot, T)])
+    reflexive, centre = is_reflexive(poly)
+    assert reflexive and np.abs(vals[-1] - np.array(centre, dtype=float)).max() <= 1e-9
 
 
 def test_valuation_refuses_mixed_T():
