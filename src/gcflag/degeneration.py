@@ -1,15 +1,17 @@
 """Toric degeneration combinatorics for flag manifolds.
 
 Deformed Pluecker coordinates q_I(z, t) degenerate det z_I to its diagonal
-monomial as t goes to 0; the weights 3^(i-j-1) below the diagonal make the
-diagonal term the unique lowest-weight term.  The module also carries the
-multi-parameter version (degeneration in stages), the monomial embedding
-of the limit torus, its binomial relations, and the numeric moment maps
-whose images fill the Gelfand-Cetlin polytope.
+monomial as t goes to 0; the integer weights 3^(i-j-1) below the diagonal
+make the diagonal term the unique lowest-weight term.  One permutation
+expansion serves q_I and its stagewise version in t_2..t_n, and refuses an
+index outside 1..n or a repeated one.  The module also carries the limit
+torus, its binomial relations, and the moment maps whose images fill the
+Gelfand-Cetlin polytope; they refuse a lambda without n entries.
 """
 
 import re
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import combinations, permutations
 
 from ._lazy import lazy
@@ -23,30 +25,39 @@ np = lazy("numpy")
 # weights
 
 
+def _weight(i, j):
+    """3^(i-j-1) below the diagonal, 0 on and above it and in row or column 0."""
+    return 3 ** (i - j - 1) if 0 < j < i else 0
+
+
+@cache
+def _tables(n, stages):
+    """Integer weight tables [i][j], 1-based: (w,) alone, or with `stages` one
+    table per stage k = 2..n, whose rows i >= k hold w[k][j] - w[k-1][j] and
+    whose other rows are 0, so that the stage tables telescope to w."""
+    r = range(n + 1)
+    if not stages:
+        return (tuple(tuple(_weight(i, j) for j in r) for i in r),)
+    return tuple(
+        tuple(tuple(_weight(k, j) - _weight(k - 1, j) if i >= k else 0 for j in r) for i in r)
+        for k in range(2, n + 1)
+    )
+
+
 def weight_matrix(n):
     """w[i][j] = 3^(i-j-1) below the diagonal, 0 elsewhere (1-based access)."""
-    w = np.zeros((n + 1, n + 1), dtype=object)
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            w[i][j] = 3 ** (i - j - 1)
-    return w
+    return _tables(n, False)[0]
 
 
 def multi_weight(n):
-    """wm[k][i][j]: the exponent of t_k in the (i, j) entry, k = 2..n.
+    """wm[k][i][j]: the exponent of t_k in the (i, j) entry, k = 2..n; rows
+    i < k are untouched by stage k, and the exponents sum to w[i][j]."""
+    return dict(zip(range(2, n + 1), _tables(n, True)))
 
-    Row cutoff: entries with i < k are untouched by the k-th stage; the
-    exponents telescope to w[i][j] when every t_k is the same t.
-    """
-    w = weight_matrix(n)
-    wm = {}
-    for k in range(2, n + 1):
-        mat = np.zeros((n + 1, n + 1), dtype=object)
-        for i in range(k, n + 1):
-            for j in range(1, n + 1):
-                mat[i][j] = w[k][j] - w[k - 1][j]
-        wm[k] = mat
-    return wm
+
+def _check_index_set(I, n):
+    if len(I) != len(set(I)) or any(not 1 <= i <= n for i in I):
+        raise ValueError("invalid index set %r" % (I,))
 
 
 # ---------------------------------------------------------------------------
@@ -60,60 +71,35 @@ def deformed_plucker(z, I, t):
     t-exponent is a non-negative integer and q_I(z, 0) is the diagonal
     monomial.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    I = tuple(I)
-    k = len(I)
-    w = weight_matrix(n)
-    base = sum(w[I[l]][l + 1] for l in range(k))
-    total = 0.0 + 0.0j
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        expo = sum(w[I[perm[l]]][l + 1] for l in range(k)) - base
-        term = sign
-        for l in range(k):
-            term = term * z[I[perm[l]] - 1, l]
-        total += term * (t ** expo if expo else 1.0)
-    return total
+    return _expand(z, I, (t,), _tables(len(z), False))
 
 
 def multi_deformed_plucker(z, I, ts):
     """q~_I(z, t_2, ..., t_n) using the stagewise multi-weights."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    if len(ts) != n - 1:
+    if len(ts) != len(z) - 1:
         raise ValueError("need n-1 parameters t_2..t_n")
+    return _expand(z, I, ts, _tables(len(z), True))
+
+
+def _expand(z, I, ts, tables):
+    """Sum over permutations p of sgn(p) prod_l z[I_p(l), l] prod_k ts[k]^e_k,
+    e_k the weight of p in tables[k] minus that of the diagonal."""
+    z = np.asarray(z, dtype=complex)
     I = tuple(I)
+    _check_index_set(I, len(z))
     k = len(I)
-    wm = multi_weight(n)
-    base = {m: sum(wm[m][I[l]][l + 1] for l in range(k)) for m in wm}
+    base = [sum(w[I[l]][l + 1] for l in range(k)) for w in tables]
     total = 0.0 + 0.0j
     for perm in permutations(range(k)):
-        term = _perm_sign(perm) + 0.0j
+        term = normalize_index_set(perm)[1] + 0.0j
         for l in range(k):
             term = term * z[I[perm[l]] - 1, l]
-        for m in wm:
-            expo = sum(wm[m][I[perm[l]]][l + 1] for l in range(k)) - base[m]
+        for t, w, b in zip(ts, tables, base):
+            expo = sum(w[I[perm[l]]][l + 1] for l in range(k)) - b
             if expo:
-                term = term * ts[m - 2] ** expo
+                term = term * t ** expo
         total += term
     return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +149,7 @@ def verify_family_equation(flag, relation, samples=100, seed=0, t=None):
     n = flag.n
     for _, _, factors in relation:
         for I in factors:
-            if len(I) != len(set(I)) or any(not 1 <= i <= n for i in I):
-                raise ValueError("invalid index set %r" % (I,))
+            _check_index_set(I, n)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -216,31 +201,21 @@ def random_torus_point(flag, seed):
     return TorusPoint(flag=flag, tau=tau)
 
 
-def _tau_entry_boxes(flag, i, j):
-    """Free boxes whose tau values multiply into matrix entry (i, j)."""
-    return [
-        (k, j)
-        for k in range(i, flag.n)
-        if not is_pinned(flag, k, j)
-    ]
-
-
 def diagonal_monomial_exponents(flag, I):
-    """d_I(tau) as a multiset of free boxes (symbolic, exact)."""
-    c = Counter()
-    for l, i in enumerate(I, start=1):
-        c.update(_tau_entry_boxes(flag, i, l))
-    return c
+    """d_I(tau) as a multiset of free boxes (symbolic, exact): matrix entry
+    (i, l) carries the tau values of the free boxes (k, l), i <= k < n."""
+    return Counter(
+        (k, l)
+        for l, i in enumerate(I, start=1)
+        for k in range(i, flag.n)
+        if not is_pinned(flag, k, l)
+    )
 
 
 def binomial_relation_holds(flag, I, J):
     """d_I d_J = d_meet d_join, checked on exponent multisets."""
-    meet, join = meet_join(I, J)
-    lhs = diagonal_monomial_exponents(flag, I) + diagonal_monomial_exponents(flag, J)
-    rhs = diagonal_monomial_exponents(flag, meet) + diagonal_monomial_exponents(
-        flag, join
-    )
-    return lhs == rhs
+    d = [diagonal_monomial_exponents(flag, K) for K in (I, J, *meet_join(I, J))]
+    return d[0] + d[1] == d[2] + d[3]
 
 
 class PluckerPoint(namedtuple("PluckerPoint", "flag values")):
@@ -250,10 +225,9 @@ class PluckerPoint(namedtuple("PluckerPoint", "flag values")):
     __slots__ = ()
 
     def get(self, I):
-        """Coordinate with the sign convention Z_{sigma I} = sgn(sigma) Z_I."""
+        """Coordinate with the sign convention Z_{sigma I} = sgn(sigma) Z_I,
+        0 when an index repeats."""
         srt, sgn = normalize_index_set(I)
-        if sgn == 0:
-            return 0.0 + 0.0j
         return sgn * self.values.get(srt, 0.0 + 0.0j)
 
 
@@ -282,9 +256,8 @@ def monomial_embedding(tau):
     for nk in flag.steps:
         for I in combinations(range(1, flag.n + 1), nk):
             v = 1.0 + 0.0j
-            for l, i in enumerate(I, start=1):
-                for box in _tau_entry_boxes(flag, i, l):
-                    v = v * tau.value(*box)
+            for box in diagonal_monomial_exponents(flag, I):
+                v = v * tau.tau[box]
             values[I] = v
     return make_plucker_point(flag, values)
 
@@ -293,52 +266,53 @@ def monomial_embedding(tau):
 # moment maps
 
 
-def moment_mu(Z, m, lam):
-    """The m x m upper-left block of the orbit point attached to Z."""
-    flag = Z.flag
-    n = flag.n
-    lam = [float(x) for x in lam]
-    if not 1 <= m <= n:
-        raise ValueError("block size out of range")
-    steps = list(flag.steps)
-    block_vals = [lam[s - 1] for s in steps] + [lam[n - 1]]
-    out = np.full((m, m), 0.0 + 0.0j)
+def _size_classes(Z, lam):
+    """(block gap of lambda, step n_k, sum of |Z_I|^2 over |I| = n_k) per step."""
+    n = Z.flag.n
+    if len(lam) != n:
+        raise ValueError("lambda needs n = %d entries" % n)
+    steps = Z.flag.steps
+    block_vals = [float(lam[s - 1]) for s in steps] + [float(lam[n - 1])]
     for k, nk in enumerate(steps):
-        coeff = block_vals[k] - block_vals[k + 1]
         norm = sum(
             abs(Z.values.get(I, 0.0)) ** 2
             for I in combinations(range(1, n + 1), nk)
         )
+        yield block_vals[k] - block_vals[k + 1], nk, norm
+
+
+def moment_mu(Z, m, lam):
+    """The m x m upper-left block of the orbit point attached to Z, 1 <= m <= n."""
+    n = Z.flag.n
+    if not 1 <= m <= n:
+        raise ValueError("block size out of range")
+    out = np.full((m, m), 0.0 + 0.0j)
+    for coeff, nk, norm in _size_classes(Z, lam):
         gram = np.zeros((m, m), dtype=complex)
         for Ip in combinations(range(1, n + 1), nk - 1):
             zi = np.array([Z.get((i,) + Ip) for i in range(1, m + 1)])
             gram += np.outer(zi, zi.conj())
         out += coeff / norm * gram
-    out += lam[n - 1] * np.eye(m)
+    out += float(lam[n - 1]) * np.eye(m)
     return (out + out.conj().T) / 2
 
 
 def moment_nu(Z, box, lam):
-    """Torus moment coordinate for ladder box (m, j).
+    """Torus moment coordinate for ladder box (m, j), 1 <= j <= m <= n.
 
     Sums |Z_I|^2 over the index sets whose intersection with {1..m} has at
     least j elements, weighted by the block gaps of lambda.
     """
     m, j = box
-    flag = Z.flag
-    n = flag.n
-    lam = [float(x) for x in lam]
-    steps = list(flag.steps)
-    block_vals = [lam[s - 1] for s in steps] + [lam[n - 1]]
+    n = Z.flag.n
+    if not 1 <= j <= m <= n:
+        raise ValueError("box out of range")
     total = 0.0
-    for k, nk in enumerate(steps):
-        coeff = block_vals[k] - block_vals[k + 1]
-        norm = 0.0
-        acc = 0.0
-        for I in combinations(range(1, n + 1), nk):
-            w = abs(Z.values.get(I, 0.0)) ** 2
-            norm += w
-            if len([i for i in I if i <= m]) >= j:
-                acc += w
+    for coeff, nk, norm in _size_classes(Z, lam):
+        acc = sum(
+            abs(Z.values.get(I, 0.0)) ** 2
+            for I in combinations(range(1, n + 1), nk)
+            if len([i for i in I if i <= m]) >= j
+        )
         total += coeff * acc / norm
-    return total + lam[n - 1]
+    return total + float(lam[n - 1])

@@ -76,6 +76,43 @@ def test_endpoints():
         assert abs(deformed_plucker(z, I, 0.0) - diag) < 1e-12
 
 
+def _weighted_det(z, I, ts, tables):
+    # det(prod_k t_k^(w_k[i][j]) z_ij) over rows I, columns 1..|I|, divided by
+    # the diagonal's weight prod_k t_k^(tr w_k,I)
+    rows = [i - 1 for i in I]
+    m = z[np.ix_(rows, range(len(I)))].astype(complex)
+    diag = 1.0 + 0.0j
+    for t, w in zip(ts, tables):
+        m = m * np.array([[t ** w[i][l + 1] for l in range(len(I))] for i in I])
+        diag *= t ** sum(w[i][l + 1] for l, i in enumerate(I))
+    return np.linalg.det(m) / diag
+
+
+def test_generic_t_matches_the_weighted_determinant():
+    rng = np.random.default_rng(7)
+    for n in (4, 5):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        wm = multi_weight(n)
+        sets = [I for k in range(1, n + 1) for I in combinations(range(1, n + 1), k)]
+        for t in (0.37, 0.7 - 0.2j, 2 + 1j):
+            ts = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            for I in sets:
+                want = _weighted_det(z, I, (t,), (weight_matrix(n),))
+                assert abs(deformed_plucker(z, I, t) - want) <= 1e-10 * abs(want)
+                want = _weighted_det(z, I, ts, [wm[k] for k in range(2, n + 1)])
+                got = multi_deformed_plucker(z, I, tuple(ts))
+                assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_plucker_refuses_invalid_index_sets():
+    z = np.arange(16).reshape(4, 4)
+    for I in [(0,), (5,), (1, 1), (2, 0, 3)]:
+        with pytest.raises(ValueError, match="invalid index set"):
+            deformed_plucker(z, I, 1.0)
+        with pytest.raises(ValueError, match="invalid index set"):
+            multi_deformed_plucker(z, I, (0.5, 0.5, 0.5))
+
+
 def test_multi_parameter_collapse():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -310,6 +347,21 @@ def test_nu_image_in_polytope():
             Z = monomial_embedding(random_torus_point(fl, seed=seed))
             u = [moment_nu(Z, box, lam) for box in poly.coords]
             assert poly.contains_float(u, tol=1e-9)
+
+
+def test_moment_maps_refuse_bad_boxes_and_lambda():
+    Z = monomial_embedding(random_torus_point(F3, seed=8))
+    for box in [(5, 1), (1, 0), (0, 1), (1, 2), (4, 4)]:
+        with pytest.raises(ValueError, match="box out of range"):
+            moment_nu(Z, box, [2.0, 0.0, -2.0])
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="block size out of range"):
+            moment_mu(Z, m, [2.0, 0.0, -2.0])
+    for lam in ([2.0, -2.0], [2.0, 1.0, 0.0, -2.0]):
+        with pytest.raises(ValueError, match="lambda needs n = 3 entries"):
+            moment_mu(Z, 2, lam)
+        with pytest.raises(ValueError, match="lambda needs n = 3 entries"):
+            moment_nu(Z, (2, 1), lam)
 
 
 def test_nu_affine_in_lambda():
