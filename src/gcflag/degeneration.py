@@ -83,10 +83,13 @@ def multi_deformed_plucker(z, I, ts):
 
 def _expand(z, I, ts, tables):
     """Sum over permutations p of sgn(p) prod_l z[I_p(l), l] prod_k ts[k]^e_k,
-    e_k the weight of p in tables[k] minus that of the diagonal."""
+    e_k the weight of p in tables[k] minus that of the diagonal.  An unsorted
+    I is sorted first and the sum taken times the sign of the sort, so that
+    q_{sigma I} = sgn(sigma) q_I, as PluckerPoint.get assumes."""
     z = np.asarray(z, dtype=complex)
     I = tuple(I)
     _check_index_set(I, len(z))
+    I, sign = normalize_index_set(I)
     k = len(I)
     base = [sum(w[I[l]][l + 1] for l in range(k)) for w in tables]
     total = 0.0 + 0.0j
@@ -99,7 +102,7 @@ def _expand(z, I, ts, tables):
             if expo:
                 term = term * t ** expo
         total += term
-    return total
+    return sign * total
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,7 @@ def verify_family_equation(flag, relation, samples=100, seed=0, t=None):
         for sign, texp, factors in relation:
             term = sign * tv ** texp
             for I in factors:
-                srt, sgn = normalize_index_set(I)
-                term = term * sgn * deformed_plucker(z, srt, tv)
+                term = term * deformed_plucker(z, I, tv)
             total += term
             scale += abs(term)
         worst = max(worst, abs(total) / max(scale, 1e-300))

@@ -7,11 +7,11 @@ prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
 Newton iteration in logarithmic coordinates, run on a deterministic grid
 of starts (vertices and barycenter of the polytope, with sixth-root
-phases drawn from random.Random(seed) when the grid is large) all at
-once.  Valuations are estimated by tracking all branches together to
-small T, on one adaptive predictor-corrector in log T whose predictor
-is exact where log y = u log T + c, and fitting the slope of log|y_k|
-against log T.
+phases drawn from random.Random(seed) when the grid is large) that join
+one phase draw per iteration.  Valuations are estimated by tracking all
+branches together to small T, on one adaptive predictor-corrector in
+log T whose predictor is exact where log y = u log T + c, and fitting
+the slope of log|y_k| against log T.
 """
 
 import random
@@ -211,43 +211,56 @@ def _solve_rows(H, G):
     return X, ok
 
 
-def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None):
+def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
     """Damped Newton in log coordinates on every row of S, a (B, N) stack.
 
-    Each row runs the iteration it would run alone: it stops once
-    max|dW/ds| <= tol * sum|terms|, it fails when its Hessian is singular
-    or after NEWTON_MAXIT steps, and each step is shortened to STEP_CAP in
-    the max norm.  Rows leave the active set as they stop.  Returns
-    (S, res, converged, singular): the final rows, the relative residuals
-    (nan where not converged) and two boolean masks; a row in neither mask
-    ran out of steps, or was still running when stop ended the run.
+    Rows join width at a time, in row order, one block per iteration (all
+    at once when width is None).  Each row runs the iteration it would run
+    alone: it stops once max|dW/ds| <= tol * sum|terms|, it fails when its
+    Hessian is singular or after NEWTON_MAXIT steps of its own, and each
+    step is shortened to STEP_CAP in the max norm.  Returns (S, res,
+    converged, singular): the final rows, the relative residuals (nan where
+    not converged) and two boolean masks.
 
-    stop, if given, is called as stop(S, rows) with the indices of the rows
-    that converged in an iteration, in row order; when it returns True no
-    row takes another step.
+    stop, if given, is called as stop(S, rows, drift) with the rows that
+    converged in an iteration, in row order, and the max norm of the Newton
+    step at each (inf where it cannot be solved); when it returns True no
+    row takes another step.  stats, if a dict, receives row_steps (rows
+    evaluated, summed over iterations), widest (the largest batch) and
+    not_converged (rows that ran out of steps).
     """
     S = np.array(S, dtype=complex)
     res = np.full(len(S), np.nan)
     converged = np.zeros(len(S), bool)
     singular = np.zeros(len(S), bool)
-    active = np.arange(len(S))
-    for _ in range(NEWTON_MAXIT):
-        if not active.size:
-            break
+    age = np.zeros(len(S), int)  # steps taken by each row
+    width = width or len(S)
+    active, joined, row_steps, widest = np.arange(0), 0, 0, 0
+    while joined < len(S) or active.size:
+        active = np.concatenate([active, np.arange(joined, min(joined + width, len(S)))])
+        joined += width
+        row_steps, widest = row_steps + len(active), max(widest, len(active))
         E, G, H = _derivatives(pot, S[active], logT)
         scale = np.abs(E).sum(axis=1)
         r = np.abs(G).max(axis=1)
         done = r <= tol * scale
+        # one solve for all rows: at a converged row the step is its drift
+        step, ok = _solve_rows(H, G)
         converged[active[done]] = True
         res[active[done]] = r[done] / scale[done]
-        if stop is not None and done.any() and stop(S, active[done]):
-            break
-        active, G, H = active[~done], G[~done], H[~done]
-        step, ok = _solve_rows(H, G)
+        if stop is not None and done.any():
+            drift = np.where(ok[done], np.abs(step[done]).max(axis=1), np.inf)
+            if stop(S, active[done], drift):
+                break
+        active, step, ok = active[~done], step[~done], ok[~done]
         singular[active[~ok]] = True
         active, step = active[ok], step[ok]
         norm = np.abs(step).max(axis=1)
         S[active] -= step * (STEP_CAP / np.maximum(norm, STEP_CAP))[:, None]
+        age[active] += 1
+        active = active[age[active] < NEWTON_MAXIT]
+    if stats is not None:
+        stats.update(row_steps=row_steps, widest=widest, not_converged=int((age == NEWTON_MAXIT).sum()))
     return S, res, converged, singular
 
 
@@ -256,7 +269,10 @@ def _start_grid(pot, T, seed=0, max_starts=4000):
     barycenter and the vertices of the polytope, sixth-root phases.
     Subsampled reproducibly when the full grid is too large: fewer phases
     per magnitude, drawn from random.Random(seed), and past max_starts
-    magnitudes one start each at an even stride over the whole list."""
+    magnitudes one start each at an even stride over the whole list.
+    The rows are ordered by phase draw: rows d M .. (d + 1) M - 1 are draw
+    d of each of the M magnitudes, so every block of M covers the whole
+    polytope."""
     poly = pot.poly
     mags = np.array(
         [poly.interior_point()] + [v for v, _ in poly.vertices()], dtype=float
@@ -276,7 +292,7 @@ def _start_grid(pot, T, seed=0, max_starts=4000):
         picks = random.Random(seed).choices(range(6), k=len(mags) * draws * N)
         picks = np.reshape(picks, (len(mags), draws, N))
     phases = 2j * np.pi * np.arange(6) / 6
-    return (mags[:, None, :] * np.log(T) + phases[picks]).reshape(-1, N)
+    return (mags * np.log(T) + phases[picks.swapaxes(0, 1)]).reshape(-1, N)
 
 
 def _order_key(y):
@@ -288,23 +304,37 @@ def _order_key(y):
     return tuple(np.round(np.abs(y), 6)) + tuple(arg)
 
 
+def _near(A, Y):
+    """(len(A), len(Y)) mask of the rows of A within DEDUP_TOL of a row of Y
+    in every coordinate, relative to max|y| of that row of Y."""
+    tol = DEDUP_TOL * np.maximum(1e-300, np.abs(Y).max(axis=1))
+    near = np.ones((len(A), len(Y)), bool)
+    for a, y in zip(A.T, Y.T):
+        near &= np.abs(a[:, None] - y) <= tol
+    return near
+
+
 def critical_points(pot, T, seed=0, stats=None):
     """All isolated critical points found by multi-start Newton at fixed T.
 
-    Newton runs on every start at once.  The starts that converge in an
-    iteration are filtered right away, in row order: the magnitude box,
-    the drift check and the dedup.  Newton stops as soon as it holds
-    cohomology_rank(pot.flag) distinct points, the rank of H*(flag) and
-    the count mirror symmetry predicts; short of that rank every start
-    runs to convergence or NEWTON_MAXIT steps.
+    The starts join Newton one phase draw per iteration: draw d of the
+    barycenter and of every vertex, so each block covers the whole
+    polytope.  The starts that converge in an iteration are filtered right
+    away, in row order: the magnitude box, the drift check and the dedup.
+    Newton stops as soon as it holds cohomology_rank(pot.flag) distinct
+    points, the rank of H*(flag) and the count mirror symmetry predicts;
+    short of that rank every start runs to convergence or NEWTON_MAXIT
+    steps.
 
     If stats is a dict it receives the number of starts, how many
     converged, and why the others gave no point: singular (a singular
     Hessian stopped Newton), not_converged (no convergence in
-    NEWTON_MAXIT steps), unfinished (still running when the rank was
-    reached), outside_box, drifting (the Newton step at the limit exceeds
-    DRIFT_TOL, or cannot be solved) and duplicate; points is the number
-    returned.  Those seven counts add up to starts.
+    NEWTON_MAXIT steps), unfinished (still running, or not yet joined,
+    when the rank was reached), outside_box, drifting (the Newton step at
+    the limit exceeds DRIFT_TOL, or cannot be solved) and duplicate;
+    points is the number returned.  Those seven counts add up to starts.
+    It also receives the Newton work: row_steps, the rows evaluated
+    summed over iterations, and widest, the largest batch.
     """
     logT = _log_T(T)
     # magnitude box: genuine critical points have valuations in the
@@ -322,44 +352,46 @@ def critical_points(pot, T, seed=0, stats=None):
     found, Y = [], np.zeros((0, pot.N), complex)  # rows and values of the distinct points
     rejected = dict(outside_box=0, drifting=0)
 
-    def admit(S, rows):
+    def admit(S, rows, drift):
         """Filter the rows that just converged; True once rank points are found."""
         nonlocal Y
         inbox = ~((S[rows].real < lo).any(axis=1) | (S[rows].real > hi).any(axis=1))
         rejected["outside_box"] += int((~inbox).sum())
-        rows = rows[inbox]
         # drift check: at a genuine isolated point the Newton step is at
         # rounding level; in a flat valley it stays order one
-        _, G, H = _derivatives(pot, S[rows], logT)
-        step, ok = _solve_rows(H, G)
-        steady = ok & ~(np.abs(step).max(axis=1) > DRIFT_TOL)
+        steady = ~(drift[inbox] > DRIFT_TOL)
         rejected["drifting"] += int((~steady).sum())
-        for row in rows[steady]:
+        rows = rows[inbox][steady]
+        # one comparison with the points already found, then the dedup of
+        # the rest one by one
+        for row in rows[~_near(np.exp(S[rows]), Y).any(axis=1)]:
             y = np.exp(S[row])
-            near = np.abs(y - Y).max(axis=1) <= DEDUP_TOL * np.maximum(1e-300, np.abs(Y).max(axis=1))
-            if not near.any():
+            if not _near(y[None], Y).any():
                 found.append(row)
                 Y = np.vstack([Y, y])
         return len(found) >= rank
 
+    starts = _start_grid(pot, T, seed=seed)
+    # one block per phase draw: as many rows as magnitudes, which are the
+    # barycenter and the vertices, or one row each past max_starts
+    newton = {}
     S, res, converged, singular = _newton(
-        pot, _start_grid(pot, T, seed=seed), logT, stop=admit
+        pot, starts, logT, stop=admit, width=min(len(verts) + 1, len(starts)), stats=newton
     )
     points = _points(pot, S[found], T, logT, res[found])
     points.sort(key=lambda p: _order_key(p.y))
     if stats is not None:
         n_conv, n_sing = int(converged.sum()), int(singular.sum())
-        unfinished = len(S) - n_conv - n_sing if len(found) >= rank else 0
         stats.update(
             starts=len(S),
             converged=n_conv,
             singular=n_sing,
-            not_converged=len(S) - n_conv - n_sing - unfinished,
-            unfinished=unfinished,
+            unfinished=len(S) - n_conv - n_sing - newton["not_converged"],
             outside_box=rejected["outside_box"],
             drifting=rejected["drifting"],
             duplicate=n_conv - sum(rejected.values()) - len(points),
             points=len(points),
+            **newton,  # not_converged, row_steps and widest
         )
     return points
 

@@ -113,6 +113,22 @@ def test_plucker_refuses_invalid_index_sets():
             multi_deformed_plucker(z, I, (0.5, 0.5, 0.5))
 
 
+def test_unsorted_index_set_carries_the_permutation_sign():
+    # q_{sigma I} = sgn(sigma) q_I, the convention of PluckerPoint.get,
+    # at every t including 0
+    z = np.arange(1, 17).reshape(4, 4)
+    assert deformed_plucker(z, (2, 3), 0.5) == 23
+    assert deformed_plucker(z, (3, 2), 0.5) == -23
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for I, sign in [((3, 2), -1), ((4, 1, 2), 1), ((3, 1, 4, 2), -1)]:
+        srt = tuple(sorted(I))
+        for t in (0.0, 0.5, 1.0):
+            assert deformed_plucker(z, I, t) == sign * deformed_plucker(z, srt, t)
+        ts = (0.0, 0.5, 0.7 - 0.2j)
+        assert multi_deformed_plucker(z, I, ts) == sign * multi_deformed_plucker(z, srt, ts)
+
+
 def test_multi_parameter_collapse():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -9,6 +9,8 @@ from gcflag.flags import FlagType
 from gcflag.polytopes import build_polytope, is_reflexive
 from gcflag import potential
 from gcflag.potential import (
+    DEDUP_TOL,
+    DRIFT_TOL,
     MINIMUM_TOL,
     NEWTON_MAXIT,
     NEWTON_TOL,
@@ -223,6 +225,20 @@ def test_start_grid_cap_strides_over_every_vertex():
     assert picked[-1] >= len(mags) // 2
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [pot_f3(), build_potential(build_polytope(FlagType.grassmannian(1, 3), [2, -1, -1]))],
+    ids=["f3-drawn-phases", "gr13-every-phase"],
+)
+def test_start_grid_stages_cover_every_magnitude(pot):
+    # block d of the grid is phase draw d of the barycenter and of every vertex
+    T = np.exp(-1.0)
+    starts = _start_grid(pot, T)
+    mags = np.array([pot.poly.interior_point()] + [v for v, _ in pot.poly.vertices()], dtype=float)
+    for stage in starts.reshape(-1, len(mags), pot.N):
+        assert np.allclose(stage.real, mags * np.log(T))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_critical_count_f4_all_seeds(seed):
     pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
@@ -273,6 +289,103 @@ def test_stopped_run_matches_the_full_grid(monkeypatch, flag, lam):
     for p, q in zip(stopped, full):
         assert np.abs(p.y - q.y).max() <= 1e-10 * np.abs(q.y).max()
         assert p.nondegenerate == q.nondegenerate
+
+
+@pytest.mark.parametrize("pot", [pot_f3(), pot_g24()], ids=["f3", "g24"])
+def test_staged_rows_match_rows_run_at_once(pot):
+    # rows do not interact, and each keeps its own NEWTON_MAXIT budget, so
+    # a row ends the same whether it joins late or with all the others
+    logT = -1.0
+    starts = _start_grid(pot, np.exp(logT))
+    at_once, staged = {}, {}
+    S, _, converged, singular = _newton(pot, starts, logT, stats=at_once)
+    S7, _, converged7, singular7 = _newton(pot, starts, logT, width=7, stats=staged)
+    assert np.array_equal(converged, converged7) and np.array_equal(singular, singular7)
+    assert converged.any() and staged["widest"] < at_once["widest"] == len(starts)
+    assert staged["row_steps"] == at_once["row_steps"]
+    assert staged["not_converged"] == at_once["not_converged"]
+    assert staged["not_converged"] == (~converged & ~singular).sum()
+    for a, b in zip(S[converged], S7[converged]):
+        y, y7 = np.exp(a), np.exp(b)
+        assert np.abs(y - y7).max() <= DEDUP_TOL * np.abs(y).max()
+
+
+def in_box(pot, S, logT):
+    """The rows of S inside critical_points' magnitude box."""
+    verts = np.array([v for v, _ in pot.poly.vertices()], dtype=float)
+    slack = 0.5 * abs(logT) + 1.0
+    lo, hi = verts.max(axis=0) * logT - slack, verts.min(axis=0) * logT + slack
+    return ((S.real >= lo) & (S.real <= hi)).all(axis=1)
+
+
+def test_stop_sees_each_converged_row_once_with_its_newton_step():
+    # the step of the iteration in which a row converged is its drift: at a
+    # genuine isolated point, inside the box, it is at rounding level
+    pot = pot_f3()
+    logT = -1.0
+    calls = []
+
+    def stop(S, rows, drift):
+        calls.append((rows.copy(), drift[in_box(pot, S[rows], logT)]))
+        return False
+
+    _, _, converged, _ = _newton(pot, _start_grid(pot, np.exp(logT)), logT, stop=stop, width=5)
+    rows = np.concatenate([r for r, _ in calls])
+    assert all((np.diff(r) > 0).all() for r, _ in calls)
+    assert np.array_equal(np.sort(rows), np.flatnonzero(converged))
+    drift = np.concatenate([d for _, d in calls])
+    assert len(drift) > 6 and (drift <= DRIFT_TOL).all()
+
+
+def all_at_once_points(pot, T, seed):
+    """The oracle of the staged critical_points: Newton on the whole start
+    grid at once and to the end, then the magnitude box, the drift check
+    and the dedup on every converged row."""
+    logT = np.log(T)
+    S, _, converged, _ = _newton(pot, _start_grid(pot, T, seed=seed), logT)
+    S = S[converged & in_box(pot, S, logT)]
+    _, G, H = potential._derivatives(pot, S, logT)
+    step, ok = _solve_rows(H, G)
+    points = []
+    for s in S[ok & (np.abs(step).max(axis=1) <= DRIFT_TOL)]:
+        y = np.exp(s)
+        if all(np.abs(y - q).max() > DEDUP_TOL * np.abs(q).max() for q in points):
+            points.append(y)
+    return points
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "flag,lam",
+    [
+        (FlagType.full(4), [5, 2, 0, -4]),
+        (FlagType.full(4), [3, 1, -1, -3]),
+        (FlagType.grassmannian(2, 5), [3, 3, -2, -2, -2]),
+        (G24, [1, 1, -1, -1]),
+        (FlagType.parse("1,2,4|5"), [4, 2, -1, -1, -4]),
+    ],
+    ids=["f4", "f4-20-points", "g25", "g24", "f1245"],
+)
+def test_staged_critical_points_match_the_all_at_once_oracle(flag, lam, seed):
+    pot = build_potential(build_polytope(flag, lam))
+    T = np.exp(-1.0)
+    stats = {}
+    got = critical_points(pot, T, seed=seed, stats=stats)
+    want = all_at_once_points(pot, T, seed)
+    assert len(got) == len(want) == min(len(want), cohomology_rank(flag))
+    for q in want:
+        assert min(np.abs(p.y - q).max() for p in got) <= DEDUP_TOL * np.abs(q).max()
+    rejected = ("singular", "not_converged", "unfinished", "outside_box", "drifting", "duplicate")
+    assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
+
+
+def test_staged_critical_points_skip_starts_the_rank_stop_never_needs():
+    # all 1,476 starts at once took 15,169 row evaluations, plus 651 rows
+    # of drift checks, in batches of 1,476 rows
+    pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
+    stats = {}
+    assert len(critical_points(pot, np.exp(-1.0), stats=stats)) == 24
+    assert stats["row_steps"] < 15169 / 2 and stats["widest"] < stats["starts"] == 1476
 
 
 def test_order_key_folds_minus_pi_onto_pi():
