@@ -119,9 +119,7 @@ def cmd_critical(args):
     doc["positive_real_minimum"] = {
         "y": [float(x) for x in posmin.y.real],
         "valuation": [float(x) for x in posmin.valuation],
-        "interior": bool(
-            poly.contains_float(posmin.valuation, -1e-6)
-        ),
+        "interior": poly.contains_float(posmin.valuation, pt.INTERIOR_TOL),
         "nondegenerate": posmin.nondegenerate,
     }
     emit(doc, args.out)

@@ -423,7 +423,7 @@ def positive_minimum():
         pt.critical_valuation(pot, cp)
         worst = max(worst, cp.residual)
         ok = ok and cp.residual <= 1e-10
-        ok = ok and poly.contains_float(np.asarray(cp.valuation), tol=-1e-6)
+        ok = ok and poly.contains_float(np.asarray(cp.valuation), tol=pt.INTERIOR_TOL)
     return Outcome(
         ok, worst,
         "positive real minimum critical (worst %.1e), valuation strictly interior, "

@@ -146,6 +146,8 @@ DEDUP_TOL = 1e-8  # points closer than this, relative to max|y|, are one point
 NONDEGENERATE_TOL = 1e-8  # nondegenerate when |det Hess| > NONDEGENERATE_TOL * scale^N
 CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
 MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
+INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 1e-6 inside every facet
+ROW_BLOCK = 256  # _newton and _apart work on at most this many rows at once
 
 
 def _log_T(T):
@@ -214,8 +216,10 @@ def _solve_rows(H, G):
 def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
     """Damped Newton in log coordinates on every row of S, a (B, N) stack.
 
-    Rows join width at a time, in row order, one block per iteration (all
-    at once when width is None).  Each row runs the iteration it would run
+    Rows join width at a time, in row order, one stage per iteration (all
+    at once when width is None).  Each iteration evaluates and solves the
+    active rows ROW_BLOCK at a time, so its working set does not grow
+    with the number of rows.  Each row runs the iteration it would run
     alone: it stops once max|dW/ds| <= tol * sum|terms|, it fails when its
     Hessian is singular or after NEWTON_MAXIT steps of its own, and each
     step is shortened to STEP_CAP in the max norm.  Returns (S, res,
@@ -226,8 +230,9 @@ def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
     converged in an iteration, in row order, and the max norm of the Newton
     step at each (inf where it cannot be solved); when it returns True no
     row takes another step.  stats, if a dict, receives row_steps (rows
-    evaluated, summed over iterations), widest (the largest batch) and
-    not_converged (rows that ran out of steps).
+    evaluated, summed over iterations), widest (the most rows active in
+    one iteration, evaluated ROW_BLOCK at a time) and not_converged (rows
+    that ran out of steps).
     """
     S = np.array(S, dtype=complex)
     res = np.full(len(S), np.nan)
@@ -240,12 +245,15 @@ def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
         active = np.concatenate([active, np.arange(joined, min(joined + width, len(S)))])
         joined += width
         row_steps, widest = row_steps + len(active), max(widest, len(active))
-        E, G, H = _derivatives(pot, S[active], logT)
-        scale = np.abs(E).sum(axis=1)
-        r = np.abs(G).max(axis=1)
+        scale, r = np.empty(len(active)), np.empty(len(active))
+        step, ok = np.empty((len(active), pot.N), complex), np.empty(len(active), bool)
+        # one solve for every row, in blocks: at a converged row the step is its drift
+        for b in range(0, len(active), ROW_BLOCK):
+            block = slice(b, b + ROW_BLOCK)
+            E, G, H = _derivatives(pot, S[active[block]], logT)
+            scale[block], r[block] = np.abs(E).sum(axis=1), np.abs(G).max(axis=1)
+            step[block], ok[block] = _solve_rows(H, G)
         done = r <= tol * scale
-        # one solve for all rows: at a converged row the step is its drift
-        step, ok = _solve_rows(H, G)
         converged[active[done]] = True
         res[active[done]] = r[done] / scale[done]
         if stop is not None and done.any():
@@ -334,7 +342,8 @@ def critical_points(pot, T, seed=0, stats=None):
     the limit exceeds DRIFT_TOL, or cannot be solved) and duplicate;
     points is the number returned.  Those seven counts add up to starts.
     It also receives the Newton work: row_steps, the rows evaluated
-    summed over iterations, and widest, the largest batch.
+    summed over iterations, and widest, the most rows active in one
+    iteration.
     """
     logT = _log_T(T)
     # magnitude box: genuine critical points have valuations in the
@@ -414,10 +423,13 @@ def _apart(Y):
     """(B, B) mask of the row pairs of Y that differ by more than DEDUP_TOL
     in some coordinate, relative to the larger of the two values there:
     per coordinate, because at small T their sizes differ by many orders
-    of magnitude."""
+    of magnitude.  Filled ROW_BLOCK rows at a time, so the complex and
+    float temporaries are (ROW_BLOCK, B), not (B, B)."""
     far = np.zeros((len(Y), len(Y)), bool)
-    for y in Y.T:
-        far |= np.abs(y[:, None] - y) > DEDUP_TOL * np.maximum(np.abs(y)[:, None], np.abs(y))
+    for y, a in zip(Y.T, np.abs(Y).T):
+        for b in range(0, len(Y), ROW_BLOCK):
+            block = slice(b, b + ROW_BLOCK)
+            far[block] |= np.abs(y[block, None] - y) > DEDUP_TOL * np.maximum(a[block, None], a)
     return far
 
 
@@ -507,12 +519,16 @@ def critical_valuation(pot, points, stats=None):
         raise ValueError("points must share their T")
     stats = {} if stats is None else stats
     stats.update(steps=0, accepted=0, rejected=0, collisions=0)
-    samples = _track(pot, np.log(np.array([p.y for p in pts], dtype=complex)), np.log(T), stats)
-    xs = np.log(VALUATION_LADDER)
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    fit, res, _, _ = np.linalg.lstsq(A, np.array(samples), rcond=None)
-    vals = fit[0].reshape(len(pts), pot.N)
-    resid = np.sqrt(res.reshape(len(pts), pot.N).sum(axis=1)) if res.size else np.zeros(len(pts))
+    samples = np.array(_track(pot, np.log(np.array([p.y for p in pts], dtype=complex)), np.log(T), stats))
+    # least squares of log|y| = slope log T + c over the ladder, in closed
+    # form on the mean-centred log T and samples
+    x = np.log(VALUATION_LADDER)
+    x = x - x.mean()
+    centred = samples - samples.mean(axis=0)
+    slope = x @ centred / (x @ x)
+    vals = slope.reshape(len(pts), pot.N)
+    sq = ((centred - np.outer(x, slope)) ** 2).sum(axis=0)
+    resid = np.sqrt(sq.reshape(len(pts), pot.N).sum(axis=1))
     for p, val, r in zip(pts, vals, resid):
         p.valuation = val
         p.valuation_residual = float(r)

@@ -6,9 +6,11 @@ decision on every lambda-valued pattern (pattern_vertices).  The library
 answers these questions combinatorially from the pattern graph; these are
 the direct computations, slow but independent of that argument.  The
 interior lattice points (interior_lattice_points) are found by a scan
-over every lattice point.  The one numeric reference, ladder_valuations,
+over every lattice point.  The numeric references: ladder_valuations
 continues critical points in T by the batched Newton on a fixed fine
-ladder, with no step control.
+ladder, with no step control; apart_at_once builds the tracker's mask of
+distinct rows in one shot; lstsq_fit fits the valuations by
+numpy.linalg.lstsq.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ import numpy as np
 
 from gcflag.exactla import det, to_fraction
 from gcflag.polytopes import lattice_points
-from gcflag.potential import VALUATION_LADDER, VALUATION_TOL, _newton
+from gcflag.potential import DEDUP_TOL, VALUATION_LADDER, VALUATION_TOL, _newton
 
 
 def rank(rows):
@@ -185,3 +187,24 @@ def ladder_valuations(pot, points, per_unit=32):
     x = np.log(VALUATION_LADDER)
     x = x - x.mean()
     return np.tensordot(x, np.array(samples), axes=1) / (x @ x)
+
+
+def apart_at_once(Y):
+    """The (B, B) mask of the row pairs of Y that differ by more than
+    DEDUP_TOL in some coordinate, relative to the larger of the two values
+    there, with every (B, B) temporary at once."""
+    far = np.zeros((len(Y), len(Y)), bool)
+    for y in Y.T:
+        far |= np.abs(y[:, None] - y) > DEDUP_TOL * np.maximum(np.abs(y)[:, None], np.abs(y))
+    return far
+
+
+def lstsq_fit(samples, B, N):
+    """Valuations (B, N) and fit residuals (B,) from the real parts of log y
+    at the T of VALUATION_LADDER, one (B * N,) row per T: the slope of the
+    least-squares line against log T, and the root of the squared
+    residuals summed over the N coordinates of each point."""
+    xs = np.log(VALUATION_LADDER)
+    A = np.vstack([xs, np.ones_like(xs)]).T
+    fit, res, _, _ = np.linalg.lstsq(A, np.array(samples), rcond=None)
+    return fit[0].reshape(B, N), np.sqrt(res.reshape(B, N).sum(axis=1))

@@ -3,8 +3,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from exact_oracle import ladder_valuations
+from exact_oracle import apart_at_once, ladder_valuations, lstsq_fit
 
+from gcflag.cli import main
 from gcflag.flags import FlagType
 from gcflag.polytopes import build_polytope, is_reflexive
 from gcflag import potential
@@ -310,6 +311,63 @@ def test_staged_rows_match_rows_run_at_once(pot):
         assert np.abs(y - y7).max() <= DEDUP_TOL * np.abs(y).max()
 
 
+@pytest.mark.parametrize(
+    "flag,lam",
+    [(F3, [2, 0, -2]), (G24, [1, 1, -1, -1]), (FlagType.full(4), [3, 1, -1, -3]), (FlagType.full(4), [5, 2, 0, -4])],
+    ids=["f3", "g24", "f4-20-points", "f4"],
+)
+def test_blocked_newton_matches_one_block(monkeypatch, flag, lam):
+    # rows do not interact, so evaluating them ROW_BLOCK at a time changes
+    # no bit of critical_points' Newton run, rank stop included
+    pot = build_potential(build_polytope(flag, lam))
+    T = np.exp(-1.0)
+    outputs, stats = [], []
+    newton = potential._newton
+
+    def recorded(*args, **kwargs):
+        outputs.append(newton(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(potential, "_newton", recorded)
+    for block in (7, len(_start_grid(pot, T))):
+        monkeypatch.setattr(potential, "ROW_BLOCK", block)
+        stats.append({})
+        critical_points(pot, T, stats=stats[-1])
+    assert stats[0] == stats[1] and stats[1]["widest"] > 7
+    if lam == [5, 2, 0, -4]:
+        assert stats[1]["unfinished"] > 0  # the rank stop fired
+    (S, res, converged, singular), whole = outputs
+    assert np.array_equal(S, whole[0]) and np.array_equal(res, whole[1], equal_nan=True)
+    assert np.array_equal(converged, whole[2]) and np.array_equal(singular, whole[3])
+
+
+def test_newton_evaluates_at_most_a_block_of_rows(monkeypatch):
+    # the whole start grid of 1,2,3,4|5 is in flight at once, yet no
+    # evaluation sees more than ROW_BLOCK rows
+    pot = build_potential(build_polytope(FlagType.full(5), [4, 2, 0, -2, -4]))
+    sizes, inside = [], [False]
+    derivatives, newton = potential._derivatives, potential._newton
+
+    def recorded_derivatives(pot, S, logT):
+        if inside[0]:
+            sizes.append(len(S))
+        return derivatives(pot, S, logT)
+
+    def marked_newton(*args, **kwargs):
+        inside[0] = True
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(potential, "_derivatives", recorded_derivatives)
+    monkeypatch.setattr(potential, "_newton", marked_newton)
+    stats = {}
+    assert len(critical_points(pot, np.exp(-1.0), stats=stats)) == 120
+    assert stats["widest"] > 10 * potential.ROW_BLOCK
+    assert max(sizes) == potential.ROW_BLOCK and sum(sizes) == stats["row_steps"]
+
+
 def in_box(pot, S, logT):
     """The rows of S inside critical_points' magnitude box."""
     verts = np.array([v for v, _ in pot.poly.vertices()], dtype=float)
@@ -478,6 +536,54 @@ def continued(flag, lam):
 def test_valuations_match_a_fine_fixed_ladder(flag, lam):
     pot, pts, want = continued(flag, lam)
     assert np.abs(critical_valuation(pot, pts) - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "flag,lam", VALUATION_CASES[:6], ids=["%s@%s" % case for case in VALUATION_CASES[:6]]
+)
+def test_closed_form_fit_matches_lstsq(monkeypatch, flag, lam):
+    pot, pts, _ = continued(flag, lam)
+    samples = []
+    track = potential._track
+
+    def recorded(*args):
+        samples.extend(track(*args))
+        return samples
+
+    monkeypatch.setattr(potential, "_track", recorded)
+    vals = critical_valuation(pot, pts)
+    want, resid = lstsq_fit(samples, len(pts), pot.N)
+    assert np.abs(vals - want).max() <= 1e-12
+    assert np.abs(np.array([p.valuation_residual for p in pts]) - resid).max() <= 1e-12
+
+
+def test_gc_critical_does_not_call_lstsq(monkeypatch, tmp_path):
+    def refused(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    out = tmp_path / "critical.json"
+    assert main(["critical", "--flag", "1,2|3", "--lambda", "2,0,-2", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 1), (3, 5)])
+def test_blocked_apart_matches_the_one_shot_oracle(blocks, extra):
+    # magnitudes over many orders, and near copies of earlier rows, some
+    # within DEDUP_TOL and some just outside it in one coordinate, across
+    # blocks
+    B = blocks * potential.ROW_BLOCK + extra
+    rng = np.random.default_rng(B)
+    Y = np.exp(rng.normal(scale=5, size=(B, 3)) + 1j * rng.uniform(-np.pi, np.pi, (B, 3)))
+    for k in range(1, B, 3):
+        j = rng.integers(k)
+        Y[k] = Y[j] * (1 + 1e-10 * rng.normal(size=3))
+        if k % 2:
+            Y[k, rng.integers(3)] *= 1 + 1e-7
+    far = potential._apart(Y)
+    assert np.array_equal(far, apart_at_once(Y))
+    if B > 2:
+        assert far.any() and (~far[~np.eye(B, dtype=bool)]).any()
 
 
 def test_tracker_counts_every_step(monkeypatch):
