@@ -136,18 +136,19 @@ VALUATION_TOL = 1e-11  # the same test on each step of the continuation in T
 VALUATION_LADDER = (1e-2, 1e-3, 1e-4)  # the continuation fits log|y| at these T, in this order
 TRACK_FIRST_STEP = 0.5  # the continuation's first step in log T
 TRACK_MIN_STEP = 1e-4  # a step in log T cut below this means a branch is lost
-TRACK_MAXIT = 5  # a continuation step whose corrector needs more Newton iterations is rejected
-TRACK_EASY_IT = 2  # after a step that took at most this many, the next step is twice as long
+TRACK_MAXIT = 5  # a continuation step whose corrector needs more Newton steps at some row is rejected
+TRACK_EASY_IT = 2  # after a step whose corrector took at most this many, the next step is twice as long
 CORRECTION_RATIO = 0.25  # the corrector may move a row at most this times its predicted move
 NEWTON_MAXIT = 80  # a start that has not converged after this many steps fails
 STEP_CAP = 2.0  # a Newton step moves at most this far in log space (max norm)
 DRIFT_TOL = 1e-6  # a longer Newton step at a converged point marks a flat valley
-DEDUP_TOL = 1e-8  # points closer than this, relative to max|y|, are one point
+DEDUP_TOL = 1e-8  # points this close in every coordinate, relative to the larger value there, are one
+MAX_STARTS = 4000  # _start_grid subsamples a grid of more starts than this
 NONDEGENERATE_TOL = 1e-8  # nondegenerate when |det Hess| > NONDEGENERATE_TOL * scale^N
 CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
 MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
 INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 1e-6 inside every facet
-ROW_BLOCK = 256  # _newton and _apart work on at most this many rows at once
+ROW_BLOCK = 256  # _solve_blocks and _same work on at most this many rows at once
 
 
 def _log_T(T):
@@ -213,27 +214,47 @@ def _solve_rows(H, G):
     return X, ok
 
 
-def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
-    """Damped Newton in log coordinates on every row of S, a (B, N) stack.
+def _solve_blocks(pot, S, rows, logT, tangent=False):
+    """At the given rows of S, evaluated and solved ROW_BLOCK rows at a time
+    so the working set does not grow with the number of rows: the Newton
+    step H^-1 dW/ds or, with tangent, the tangent dS/dlogT = H^-1 ((E tau)
+    @ V) of a branch of critical points.  Returns (X, ok, scale, r): the
+    solutions and _solve_rows' mask, and sum|terms| and max|dW/ds| at each
+    row."""
+    X, ok = np.empty((len(rows), pot.N), complex), np.empty(len(rows), bool)
+    scale, r = np.empty(len(rows)), np.empty(len(rows))
+    for b in range(0, len(rows), ROW_BLOCK):
+        block = slice(b, b + ROW_BLOCK)
+        E, G, H = _derivatives(pot, S[rows[block]], logT)
+        scale[block], r[block] = np.abs(E).sum(axis=1), np.abs(G).max(axis=1)
+        X[block], ok[block] = _solve_rows(H, (E * pot._taus) @ pot._vm if tangent else G)
+    return X, ok, scale, r
+
+
+def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None, maxit=None, min_steps=0):
+    """Damped Newton in log coordinates on every row of S, a (B, N) stack:
+    the one Newton loop of the multi-start, the positive minimum and the
+    tracker's corrector.
 
     Rows join width at a time, in row order, one stage per iteration (all
     at once when width is None).  Each iteration evaluates and solves the
-    active rows ROW_BLOCK at a time, so its working set does not grow
-    with the number of rows.  Each row runs the iteration it would run
-    alone: it stops once max|dW/ds| <= tol * sum|terms|, it fails when its
-    Hessian is singular or after NEWTON_MAXIT steps of its own, and each
-    step is shortened to STEP_CAP in the max norm.  Returns (S, res,
-    converged, singular): the final rows, the relative residuals (nan where
-    not converged) and two boolean masks.
+    active rows with _solve_blocks.  Each row runs the iteration it would
+    run alone: it stops once max|dW/ds| <= tol * sum|terms| after at least
+    min_steps steps of its own, it fails when its Hessian is singular or
+    after maxit steps of its own (NEWTON_MAXIT when None; the last step is
+    not tested), and each step is shortened to STEP_CAP in the max norm.
+    Returns (S, res, converged, singular): the final rows, the relative
+    residuals (nan where not converged) and two boolean masks.
 
     stop, if given, is called as stop(S, rows, drift) with the rows that
     converged in an iteration, in row order, and the max norm of the Newton
     step at each (inf where it cannot be solved); when it returns True no
     row takes another step.  stats, if a dict, receives row_steps (rows
     evaluated, summed over iterations), widest (the most rows active in
-    one iteration, evaluated ROW_BLOCK at a time) and not_converged (rows
-    that ran out of steps).
+    one iteration, evaluated ROW_BLOCK at a time), longest (the most steps
+    one row took) and not_converged (rows that ran out of steps).
     """
+    maxit = NEWTON_MAXIT if maxit is None else maxit
     S = np.array(S, dtype=complex)
     res = np.full(len(S), np.nan)
     converged = np.zeros(len(S), bool)
@@ -245,15 +266,9 @@ def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
         active = np.concatenate([active, np.arange(joined, min(joined + width, len(S)))])
         joined += width
         row_steps, widest = row_steps + len(active), max(widest, len(active))
-        scale, r = np.empty(len(active)), np.empty(len(active))
-        step, ok = np.empty((len(active), pot.N), complex), np.empty(len(active), bool)
-        # one solve for every row, in blocks: at a converged row the step is its drift
-        for b in range(0, len(active), ROW_BLOCK):
-            block = slice(b, b + ROW_BLOCK)
-            E, G, H = _derivatives(pot, S[active[block]], logT)
-            scale[block], r[block] = np.abs(E).sum(axis=1), np.abs(G).max(axis=1)
-            step[block], ok[block] = _solve_rows(H, G)
-        done = r <= tol * scale
+        # one solve for every row: at a converged row the step is its drift
+        step, ok, scale, r = _solve_blocks(pot, S, active, logT)
+        done = (r <= tol * scale) & (age[active] >= min_steps)
         converged[active[done]] = True
         res[active[done]] = r[done] / scale[done]
         if stop is not None and done.any():
@@ -266,13 +281,14 @@ def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None):
         norm = np.abs(step).max(axis=1)
         S[active] -= step * (STEP_CAP / np.maximum(norm, STEP_CAP))[:, None]
         age[active] += 1
-        active = active[age[active] < NEWTON_MAXIT]
+        active = active[age[active] < maxit]
     if stats is not None:
-        stats.update(row_steps=row_steps, widest=widest, not_converged=int((age == NEWTON_MAXIT).sum()))
+        stats.update(row_steps=row_steps, widest=widest, not_converged=int((age == maxit).sum()))
+        stats["longest"] = int(age.max(initial=0))
     return S, res, converged, singular
 
 
-def _start_grid(pot, T, seed=0, max_starts=4000):
+def _start_grid(pot, T, seed=0, max_starts=MAX_STARTS):
     """Deterministic starts, a (B, N) array: magnitudes T^u over the
     barycenter and the vertices of the polytope, sixth-root phases.
     Subsampled reproducibly when the full grid is too large: fewer phases
@@ -312,14 +328,19 @@ def _order_key(y):
     return tuple(np.round(np.abs(y), 6)) + tuple(arg)
 
 
-def _near(A, Y):
-    """(len(A), len(Y)) mask of the rows of A within DEDUP_TOL of a row of Y
-    in every coordinate, relative to max|y| of that row of Y."""
-    tol = DEDUP_TOL * np.maximum(1e-300, np.abs(Y).max(axis=1))
-    near = np.ones((len(A), len(Y)), bool)
-    for a, y in zip(A.T, Y.T):
-        near &= np.abs(a[:, None] - y) <= tol
-    return near
+def _same(A, Y):
+    """(len(A), len(Y)) mask of the pairs of a row of A and a row of Y that
+    are one point: within DEDUP_TOL of each other in every coordinate,
+    relative to the larger of the two values there.  Per coordinate,
+    because at small T the sizes of the coordinates differ by many orders
+    of magnitude.  Filled ROW_BLOCK rows of A at a time, so the complex
+    and float temporaries are (ROW_BLOCK, len(Y))."""
+    same = np.ones((len(A), len(Y)), bool)
+    for a, y, abs_a, abs_y in zip(A.T, Y.T, np.abs(A).T, np.abs(Y).T):
+        for b in range(0, len(A), ROW_BLOCK):
+            block = slice(b, b + ROW_BLOCK)
+            same[block] &= np.abs(a[block, None] - y) <= DEDUP_TOL * np.maximum(abs_a[block, None], abs_y)
+    return same
 
 
 def critical_points(pot, T, seed=0, stats=None):
@@ -342,8 +363,8 @@ def critical_points(pot, T, seed=0, stats=None):
     the limit exceeds DRIFT_TOL, or cannot be solved) and duplicate;
     points is the number returned.  Those seven counts add up to starts.
     It also receives the Newton work: row_steps, the rows evaluated
-    summed over iterations, and widest, the most rows active in one
-    iteration.
+    summed over iterations, widest, the most rows active in one
+    iteration, and longest, the most steps one row took.
     """
     logT = _log_T(T)
     # magnitude box: genuine critical points have valuations in the
@@ -373,16 +394,16 @@ def critical_points(pot, T, seed=0, stats=None):
         rows = rows[inbox][steady]
         # one comparison with the points already found, then the dedup of
         # the rest one by one
-        for row in rows[~_near(np.exp(S[rows]), Y).any(axis=1)]:
+        for row in rows[~_same(np.exp(S[rows]), Y).any(axis=1)]:
             y = np.exp(S[row])
-            if not _near(y[None], Y).any():
+            if not _same(y[None], Y).any():
                 found.append(row)
                 Y = np.vstack([Y, y])
         return len(found) >= rank
 
     starts = _start_grid(pot, T, seed=seed)
     # one block per phase draw: as many rows as magnitudes, which are the
-    # barycenter and the vertices, or one row each past max_starts
+    # barycenter and the vertices, or one row each past MAX_STARTS
     newton = {}
     S, res, converged, singular = _newton(
         pot, starts, logT, stop=admit, width=min(len(verts) + 1, len(starts)), stats=newton
@@ -400,7 +421,7 @@ def critical_points(pot, T, seed=0, stats=None):
             drifting=rejected["drifting"],
             duplicate=n_conv - sum(rejected.values()) - len(points),
             points=len(points),
-            **newton,  # not_converged, row_steps and widest
+            **newton,  # not_converged, row_steps, widest and longest
         )
     return points
 
@@ -419,78 +440,54 @@ def hessian_nondegenerate(pot, T, y):
     return _nondegenerate(dh, scale, pot.N), dh
 
 
-def _apart(Y):
-    """(B, B) mask of the row pairs of Y that differ by more than DEDUP_TOL
-    in some coordinate, relative to the larger of the two values there:
-    per coordinate, because at small T their sizes differ by many orders
-    of magnitude.  Filled ROW_BLOCK rows at a time, so the complex and
-    float temporaries are (ROW_BLOCK, B), not (B, B)."""
-    far = np.zeros((len(Y), len(Y)), bool)
-    for y, a in zip(Y.T, np.abs(Y).T):
-        for b in range(0, len(Y), ROW_BLOCK):
-            block = slice(b, b + ROW_BLOCK)
-            far[block] |= np.abs(y[block, None] - y) > DEDUP_TOL * np.maximum(a[block, None], a)
-    return far
-
-
-def _correct(pot, S, logT):
-    """The corrector of _track: Newton at logT on every row of S, at least
-    one step and at most TRACK_MAXIT, until max|dW/ds| <= VALUATION_TOL *
-    sum|terms| on every row.  Returns (S, E, H, steps) with the terms and
-    Hessians at the returned rows, or None if some row is singular or has
-    not converged."""
-    E, G, H = _derivatives(pot, S, logT)
-    for it in range(1, TRACK_MAXIT + 1):
-        step, ok = _solve_rows(H, G)
-        if not ok.all():
-            return None
-        S = S - step
-        E, G, H = _derivatives(pot, S, logT)
-        if (np.abs(G).max(axis=1) <= VALUATION_TOL * np.abs(E).sum(axis=1)).all():
-            return S, E, H, it
-    return None
-
-
 def _track(pot, S, logT, stats):
     """Continue the rows of S, critical points at logT, down through the T
     of VALUATION_LADDER; returns their real parts at each of those T.
 
     Each step moves all rows by h in log T.  The predictor follows the
-    tangent dS/dlogT = H^-1 ((E tau) @ V) at the last accepted rows, exact
-    where log y = u log T + c.  A step is rejected and h halved when
-    _correct fails, corrects a row by more than CORRECTION_RATIO of its
-    predicted move, or brings together two rows that were distinct at the
-    start (a collision: a branch jumped onto another).  h doubles after a
-    step that took at most TRACK_EASY_IT Newton steps, and is cut to land
-    on each T of the ladder.  stats counts the steps and their outcomes.
+    tangent dS/dlogT of _solve_blocks at the last accepted rows, exact
+    where log y = u log T + c.  The corrector is _newton to VALUATION_TOL,
+    at least one step and at most TRACK_MAXIT on every row.  A step is
+    rejected and h halved when the tangent or the corrector fails at some
+    row, the corrector moves a row by more than CORRECTION_RATIO of its
+    predicted move, or two rows that were distinct at the start become one
+    point (a collision: a branch jumped onto another).  h doubles after a
+    step whose corrector took at most TRACK_EASY_IT steps, and is cut to
+    land on each T of the ladder.  stats counts the steps and their
+    outcomes.
     """
-    apart = _apart(np.exp(S))
-    E, _, H = _derivatives(pot, S, logT)
+    rows = np.arange(len(S))
+    distinct = ~_same(np.exp(S), np.exp(S))
+    tangent, ok, _, _ = _solve_blocks(pot, S, rows, logT, tangent=True)
+    # _newton does not test a row after its last step, so the corrector
+    # gets one step more than TRACK_MAXIT for the TRACK_MAXIT-th to count
+    corrector_maxit = TRACK_MAXIT + 1
     h, samples = TRACK_FIRST_STEP, []
     for target in np.log(VALUATION_LADDER):
         while logT > target:
             if h < TRACK_MIN_STEP:
-                raise RuntimeError("continuation lost the branch")
+                raise RuntimeError("continuation lost the branch at log T = %.6g, step h = %.3g" % (logT, h))
             stats["steps"] += 1
             t1 = max(logT - h, target)
-            tangent, ok = _solve_rows(H, (E * pot._taus) @ pot._vm)
             predicted = S + (t1 - logT) * tangent
-            out = _correct(pot, predicted, t1) if ok.all() else None
-            if out is not None:
-                moved = np.abs(predicted - S).max(axis=1)
-                if (np.abs(out[0] - predicted).max(axis=1) > CORRECTION_RATIO * moved).any():
-                    out = None
-                elif (apart & ~_apart(np.exp(out[0]))).any():
-                    stats["collisions"] += 1
-                    out = None
-            if out is None:
+            corrector, accepted = {}, ok.all()
+            if accepted:
+                C, _, converged, _ = _newton(
+                    pot, predicted, t1, VALUATION_TOL, stats=corrector, maxit=corrector_maxit, min_steps=1
+                )
+                moved, corrected = np.abs(predicted - S).max(axis=1), np.abs(C - predicted).max(axis=1)
+                accepted = converged.all() and (corrected <= CORRECTION_RATIO * moved).all()
+            if accepted and (distinct & _same(np.exp(C), np.exp(C))).any():
+                stats["collisions"] += 1
+                accepted = False
+            if not accepted:
                 stats["rejected"] += 1
                 h /= 2
                 continue
             stats["accepted"] += 1
-            S, E, H, it = out
-            logT = t1
-            if it <= TRACK_EASY_IT:
+            S, logT = C, t1
+            tangent, ok, _, _ = _solve_blocks(pot, S, rows, logT, tangent=True)
+            if corrector["longest"] <= TRACK_EASY_IT:
                 h *= 2
         samples.append(S.real.ravel())
     return samples

@@ -8,8 +8,9 @@ the direct computations, slow but independent of that argument.  The
 interior lattice points (interior_lattice_points) are found by a scan
 over every lattice point.  The numeric references: ladder_valuations
 continues critical points in T by the batched Newton on a fixed fine
-ladder, with no step control; apart_at_once builds the tracker's mask of
-distinct rows in one shot; lstsq_fit fits the valuations by
+ladder, with no step control; apart_at_once builds the complement of the
+same-point mask in one shot; near_relative_to_max is the dedup's earlier
+rule, relative to max|y|; lstsq_fit fits the valuations by
 numpy.linalg.lstsq.
 """
 
@@ -197,6 +198,16 @@ def apart_at_once(Y):
     for y in Y.T:
         far |= np.abs(y[:, None] - y) > DEDUP_TOL * np.maximum(np.abs(y)[:, None], np.abs(y))
     return far
+
+
+def near_relative_to_max(A, Y):
+    """(len(A), len(Y)) mask of the rows of A within DEDUP_TOL of a row of Y
+    in every coordinate, relative to max|y| of that row of Y."""
+    tol = DEDUP_TOL * np.maximum(1e-300, np.abs(Y).max(axis=1))
+    near = np.ones((len(A), len(Y)), bool)
+    for a, y in zip(A.T, Y.T):
+        near &= np.abs(a[:, None] - y) <= tol
+    return near
 
 
 def lstsq_fit(samples, B, N):

@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from exact_oracle import apart_at_once, ladder_valuations, lstsq_fit
+from exact_oracle import apart_at_once, ladder_valuations, lstsq_fit, near_relative_to_max
 
 from gcflag.cli import main
 from gcflag.flags import FlagType
@@ -412,18 +413,19 @@ def all_at_once_points(pot, T, seed):
     return points
 
 
+# (5,2,0,-4) reaches the rank, (3,1,-1,-3) stops 4 points short of it
+DEDUP_CASES = [
+    (FlagType.full(4), [5, 2, 0, -4]),
+    (FlagType.full(4), [3, 1, -1, -3]),
+    (FlagType.grassmannian(2, 5), [3, 3, -2, -2, -2]),
+    (G24, [1, 1, -1, -1]),
+    (FlagType.parse("1,2,4|5"), [4, 2, -1, -1, -4]),
+]
+DEDUP_IDS = ["f4", "f4-20-points", "g25", "g24", "f1245"]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize(
-    "flag,lam",
-    [
-        (FlagType.full(4), [5, 2, 0, -4]),
-        (FlagType.full(4), [3, 1, -1, -3]),
-        (FlagType.grassmannian(2, 5), [3, 3, -2, -2, -2]),
-        (G24, [1, 1, -1, -1]),
-        (FlagType.parse("1,2,4|5"), [4, 2, -1, -1, -4]),
-    ],
-    ids=["f4", "f4-20-points", "g25", "g24", "f1245"],
-)
+@pytest.mark.parametrize("flag,lam", DEDUP_CASES, ids=DEDUP_IDS)
 def test_staged_critical_points_match_the_all_at_once_oracle(flag, lam, seed):
     pot = build_potential(build_polytope(flag, lam))
     T = np.exp(-1.0)
@@ -435,6 +437,22 @@ def test_staged_critical_points_match_the_all_at_once_oracle(flag, lam, seed):
         assert min(np.abs(p.y - q).max() for p in got) <= DEDUP_TOL * np.abs(q).max()
     rejected = ("singular", "not_converged", "unfinished", "outside_box", "drifting", "duplicate")
     assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("flag,lam", DEDUP_CASES, ids=DEDUP_IDS)
+def test_same_point_rule_dedups_as_the_rule_relative_to_max_y(monkeypatch, flag, lam, seed):
+    # the dedup compares each coordinate relative to the larger of the two
+    # values there; relative to max|y| instead, it keeps the same points
+    pot = build_potential(build_polytope(flag, lam))
+    T = np.exp(-1.0)
+    stats, old_stats = {}, {}
+    got = critical_points(pot, T, seed=seed, stats=stats)
+    monkeypatch.setattr(potential, "_same", near_relative_to_max)
+    want = critical_points(pot, T, seed=seed, stats=old_stats)
+    assert stats == old_stats and len(got) == len(want) > 0
+    for p, q in zip(got, want):
+        assert np.array_equal(p.y, q.y) and p.residual == q.residual and p.hessian_det == q.hessian_det
 
 
 def test_staged_critical_points_skip_starts_the_rank_stop_never_needs():
@@ -568,7 +586,7 @@ def test_gc_critical_does_not_call_lstsq(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 1), (3, 5)])
-def test_blocked_apart_matches_the_one_shot_oracle(blocks, extra):
+def test_blocked_same_point_mask_matches_the_one_shot_oracle(blocks, extra):
     # magnitudes over many orders, and near copies of earlier rows, some
     # within DEDUP_TOL and some just outside it in one coordinate, across
     # blocks
@@ -580,7 +598,7 @@ def test_blocked_apart_matches_the_one_shot_oracle(blocks, extra):
         Y[k] = Y[j] * (1 + 1e-10 * rng.normal(size=3))
         if k % 2:
             Y[k, rng.integers(3)] *= 1 + 1e-7
-    far = potential._apart(Y)
+    far = ~potential._same(Y, Y)
     assert np.array_equal(far, apart_at_once(Y))
     if B > 2:
         assert far.any() and (~far[~np.eye(B, dtype=bool)]).any()
@@ -589,13 +607,13 @@ def test_blocked_apart_matches_the_one_shot_oracle(blocks, extra):
 def test_tracker_counts_every_step(monkeypatch):
     pot, pts, _ = continued(*JUMP_CASE)
     attempts = []
-    correct = potential._correct
+    newton = potential._newton
 
-    def counted(pot, S, logT):
+    def counted(pot, S, logT, *args, **kwargs):
         attempts.append(logT)
-        return correct(pot, S, logT)
+        return newton(pot, S, logT, *args, **kwargs)
 
-    monkeypatch.setattr(potential, "_correct", counted)
+    monkeypatch.setattr(potential, "_newton", counted)
     stats = {}
     critical_valuation(pot, pts, stats=stats)
     assert stats["steps"] == len(attempts)
@@ -608,14 +626,16 @@ def test_tracker_counts_every_step(monkeypatch):
 
 @pytest.mark.parametrize("guard", ["collision", "correction"])
 def test_each_guard_alone_keeps_the_branches(monkeypatch, guard):
-    # with the corrector uncapped, the first step at (7,3,0,-2,-8) converges
-    # with 4 branches on 4 others; either remaining guard rejects it
+    # with the corrector's steps and step count uncapped, the first step at
+    # (7,3,0,-2,-8) converges with 4 branches on 4 others; either remaining
+    # guard rejects it (STEP_CAP alone keeps the branches there)
     pot, pts, want = continued(*JUMP_CASE)
     monkeypatch.setattr(potential, "TRACK_MAXIT", NEWTON_MAXIT)
+    monkeypatch.setattr(potential, "STEP_CAP", 1e9)
     if guard == "collision":
         monkeypatch.setattr(potential, "CORRECTION_RATIO", np.inf)
     else:
-        monkeypatch.setattr(potential, "_apart", lambda Y: np.ones((len(Y), len(Y)), bool))
+        monkeypatch.setattr(potential, "_same", lambda A, Y: np.zeros((len(A), len(Y)), bool))
     stats = {}
     vals = critical_valuation(pot, pts, stats=stats)
     assert (stats["collisions"] >= 1) == (guard == "collision")
@@ -632,6 +652,41 @@ def test_tracker_gives_up_below_its_smallest_step(monkeypatch):
     halvings = int(np.floor(np.log2(TRACK_FIRST_STEP / TRACK_MIN_STEP)))
     assert stats["steps"] == stats["rejected"] == halvings + 1
     assert stats["accepted"] == stats["collisions"] == 0
+
+
+def test_tracker_names_where_it_lost_the_branch():
+    # at (6,3,-1,-5) two branches leave the torus at T = 1/4, and the
+    # tracker stalls just before log T = -ln 4
+    pot = build_potential(build_polytope(FlagType.full(4), [6, 3, -1, -5]))
+    T = np.exp(-1.0)
+    with pytest.raises(RuntimeError, match="continuation lost the branch at log T = ") as lost:
+        critical_valuation(pot, critical_points(pot, T) + [positive_real_minimum(pot, T)])
+    logT, h = map(float, re.search(r"log T = (\S+), step h = (\S+)$", str(lost.value)).groups())
+    assert abs(logT + np.log(4)) <= 1e-2 and 0 < h < TRACK_MIN_STEP
+
+
+@pytest.mark.parametrize(
+    "case,steps,rejected", [(VALUATION_CASES[3], 11, 0), (JUMP_CASE, 16, 1)], ids=["f4", "jump"]
+)
+def test_tracker_step_counts_are_pinned(case, steps, rejected):
+    # the corrector tests a row after each of its TRACK_MAXIT steps, the
+    # last one included; without that test the counts rise to 17 and 23
+    pot, pts, _ = continued(*case)
+    stats = {}
+    critical_valuation(pot, pts, stats=stats)
+    assert (stats["steps"], stats["rejected"], stats["collisions"]) == (steps, rejected, 0)
+
+
+def test_blocked_tracker_matches_one_block(monkeypatch):
+    # the 25 rows at (5,2,0,-4) in four blocks of 7: the tangent and the
+    # corrector change no bit, and the tracker takes the same steps
+    pot, pts, _ = continued(*VALUATION_CASES[3])
+    assert len(pts) == 25
+    whole, blocked = {}, {}
+    want = critical_valuation(pot, pts, stats=whole)
+    monkeypatch.setattr(potential, "ROW_BLOCK", 7)
+    assert np.array_equal(critical_valuation(pot, pts, stats=blocked), want)
+    assert blocked == whole
 
 
 def test_valuations_continue_every_branch_at_n6_anticanonical():
