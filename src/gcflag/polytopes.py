@@ -196,7 +196,7 @@ class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
             t = n + 1 - len(upper)
             lower = nodes[t]
             out = []
-            for row in product(*(range(lo, hi + 1) for hi, lo in zip(upper, upper[1:]))):
+            for row in _rows_below(upper):
                 tight = [(j, labels[a], lower[b]) for j, a, b in edges[t] if upper[a] == row[b]]
                 parent = {}
                 _join([(a, b) for _, a, b in tight], parent)
@@ -234,20 +234,25 @@ class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
 # interlacing patterns
 
 
-def _patterns(top):
-    """Every integral interlacing pattern with top row `top`, as a tuple of rows.
+def _rows_below(upper):
+    """Every integral row interlacing below the row `upper`, in increasing
+    lexicographic order: entry i ranges over the integers between its two
+    upper neighbours upper[i + 1] and upper[i], independently of the other
+    entries of its row."""
+    return product(*(range(lo, hi + 1) for hi, lo in zip(upper, upper[1:])))
 
-    Rows run top-down (row k is rows[n - k], see _cell); entry i of a row
-    ranges over the integers between its two upper neighbours lo and hi,
-    independently of the other entries of its row.
-    """
+
+def _patterns(top):
+    """Every integral interlacing pattern with top row `top`, as a tuple of
+    rows, in increasing lexicographic order.  Rows run top-down (row k is
+    rows[n - k], see _cell)."""
 
     def below(rows):
         upper = rows[-1]
         if len(upper) == 1:
             yield rows
             return
-        for row in product(*(range(lo, hi + 1) for hi, lo in zip(upper, upper[1:]))):
+        for row in _rows_below(upper):
             yield from below(rows + (row,))
 
     return below((tuple(top),))
@@ -286,27 +291,20 @@ def build_polytope(flag, lam):
     n = flag.n
     d = flag.dims
 
-    def term(k, i):
-        """Return ('free', coord index) or ('const', block index)."""
-        if is_pinned(flag, k, i):
-            return ("const", flag.block_of(i))
-        return ("free", index[(k, i)])
-
     candidates = []
     for k in range(n - 1, 0, -1):
         for i in range(1, k + 1):
             for upper, lower in (((k + 1, i), (k, i)), ((k, i), (k + 1, i + 1))):
-                tu, tl = term(*upper), term(*lower)
-                if tu[0] == "const" and tl[0] == "const":
+                if is_pinned(flag, *upper) and is_pinned(flag, *lower):
                     continue
                 v = [0] * N
-                cb = [0] * (flag.r + 1)
-                for t, sgn in ((tu, 1), (tl, -1)):
-                    if t[0] == "free":
-                        v[t[1]] += sgn
+                tau_blocks = [0] * (flag.r + 1)  # ell = <v, u> - tau: a pinned entry moves to tau
+                for pos, sgn in ((upper, 1), (lower, -1)):
+                    if is_pinned(flag, *pos):
+                        tau_blocks[flag.block_of(pos[1]) - 1] -= sgn
                     else:
-                        cb[t[1] - 1] += sgn
-                tau_blocks = tuple(-c for c in cb)
+                        v[index[pos]] += sgn
+                tau_blocks = tuple(tau_blocks)
                 tau = sum(
                     Fraction(c) * lam[d[l + 1] - 1] for l, c in enumerate(tau_blocks)
                 )
@@ -358,17 +356,14 @@ def weyl_dimension(lam):
 def lattice_points(poly):
     """All integral patterns, as coordinate vectors, in sorted order.
 
-    Each entry ranges over the integers between its two upper neighbours
-    (_patterns); points are sorted as ints and made Fractions once per value.
+    _patterns yields them sorted: the coordinates are its entries in the
+    order it fills them, rows top-down, less the pinned entries, which are
+    constant.  Each value is made a Fraction once.
     """
     top = _integral_top(poly)
     at = [_cell(poly.flag, pos) for pos in poly.coords]
-    points = sorted(
-        tuple(rows[a][b] for a, b in at)
-        for rows in _patterns(top)
-    )
     exact = {x: Fraction(x) for x in range(top[-1], top[0] + 1)}
-    return [tuple(exact[x] for x in p) for p in points]
+    return [tuple(exact[rows[a][b]] for a, b in at) for rows in _patterns(top)]
 
 
 def lattice_point_count(poly):
@@ -381,7 +376,7 @@ def lattice_point_count(poly):
     def count(row):
         if len(row) == 1:
             return 1
-        return sum(map(count, product(*(range(lo, hi + 1) for hi, lo in zip(row, row[1:])))))
+        return sum(map(count, _rows_below(row)))
 
     return count(_integral_top(poly))
 

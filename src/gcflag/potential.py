@@ -62,13 +62,15 @@ class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms pol
         return " + ".join(parts)
 
     # numeric evaluation at fixed T, in log coordinates s = log y; the term
-    # exponents and offsets are built once, as read-only float arrays
+    # exponents and offsets are the polytope's read-only float facet arrays
 
-    @cached_property
+    @property
     def _vm(self):
-        vm = np.array([v for v, _, _ in self.terms], dtype=float)
-        vm.flags.writeable = False
-        return vm
+        return self.poly.halfspace_arrays[0]
+
+    @property
+    def _taus(self):
+        return self.poly.halfspace_arrays[1]
 
     @cached_property
     def _vv(self):
@@ -77,12 +79,6 @@ class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms pol
         vv = (vm[:, :, None] * vm[:, None, :]).reshape(len(vm), -1)
         vv.flags.writeable = False
         return vv
-
-    @cached_property
-    def _taus(self):
-        taus = np.array([float(t) for _, _, t in self.terms])
-        taus.flags.writeable = False
-        return taus
 
     def terms_at(self, s, logT):
         return np.exp(self._vm @ s - self._taus * logT)
@@ -127,9 +123,9 @@ class CriticalPoint:
 
 
 # ---------------------------------------------------------------------------
-# Tolerances of the numeric solvers.  Residuals and determinants are
-# measured relative to the term scale sum_m |term_m|, because terms of
-# very different sizes cancel at a critical point.
+# Tolerances of the numeric solvers.  Residuals are measured relative to
+# the term scale sum_m |term_m|, because terms of very different sizes
+# cancel at a critical point.
 
 NEWTON_TOL = 1e-12  # Newton has converged when max|dW/ds| <= NEWTON_TOL * scale
 VALUATION_TOL = 1e-11  # the same test on each step of the continuation in T
@@ -144,7 +140,7 @@ STEP_CAP = 2.0  # a Newton step moves at most this far in log space (max norm)
 DRIFT_TOL = 1e-6  # a longer Newton step at a converged point marks a flat valley
 DEDUP_TOL = 1e-8  # points this close in every coordinate, relative to the larger value there, are one
 MAX_STARTS = 4000  # _start_grid subsamples a grid of more starts than this
-NONDEGENERATE_TOL = 1e-8  # nondegenerate when |det Hess| > NONDEGENERATE_TOL * scale^N
+NONDEGENERATE_TOL = 1e-8  # nondegenerate when sigma_min(Hess) > NONDEGENERATE_TOL * sigma_max(Hess)
 CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
 MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
 INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 1e-6 inside every facet
@@ -158,9 +154,12 @@ def _log_T(T):
     return np.log(T)
 
 
-def _nondegenerate(dh, scale, N):
-    """The determinant test of the logarithmic Hessian, relative to scale^N."""
-    return bool(abs(dh) > NONDEGENERATE_TOL * scale**N)
+def _nondegenerate(H):
+    """The singular-value test of a stack H of logarithmic Hessians, one
+    flag per Hessian.  It reads H alone: at a critical point the terms
+    cancel, so a test relative to the term scale grows stricter with N."""
+    sv = np.linalg.svd(H, compute_uv=False)
+    return sv[..., -1] > NONDEGENERATE_TOL * sv[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +177,10 @@ def _derivatives(pot, S, logT):
 def _points(pot, S, T, logT, residuals):
     """One CriticalPoint per row of S, with its Hessian determinant and
     nondegeneracy from one _derivatives call; no valuation."""
-    E, _, H = _derivatives(pot, S, logT)
+    _, _, H = _derivatives(pot, S, logT)
     return [
-        CriticalPoint(
-            y=np.exp(s),
-            T=T,
-            residual=r,
-            hessian_det=dh,
-            nondegenerate=_nondegenerate(dh, scale, pot.N),
-        )
-        for s, r, dh, scale in zip(S, residuals, np.linalg.det(H), np.abs(E).sum(axis=1))
+        CriticalPoint(y=np.exp(s), T=T, residual=r, hessian_det=dh, nondegenerate=bool(nd))
+        for s, r, dh, nd in zip(S, residuals, np.linalg.det(H), _nondegenerate(H))
     ]
 
 
@@ -195,22 +188,18 @@ def _solve_rows(H, G):
     """Solve H[b] x = G[b] for every row b.  Returns (X, ok).
 
     One stacked solve.  If it raises (some H[b] is singular), the rows
-    with a nonzero determinant are solved in a second stacked call and
-    only the others one by one; only the rows that still raise fail.
+    whose slogdet sign is nonzero are solved in a second stacked call and
+    the others fail.  The sign is 0 exactly where LU finds a zero pivot,
+    which is where solve raises, since both factor H[b] the same way; a
+    nonsingular H[b] whose determinant underflows keeps its sign.
     """
     try:
         return np.linalg.solve(H, G[..., None])[..., 0], np.ones(len(G), bool)
     except np.linalg.LinAlgError:
         pass
     X = np.zeros_like(G)
-    ok = np.linalg.det(H) != 0
+    ok = np.linalg.slogdet(H)[0] != 0
     X[ok] = np.linalg.solve(H[ok], G[ok][..., None])[..., 0]
-    for b in np.flatnonzero(~ok):
-        try:
-            X[b] = np.linalg.solve(H[b], G[b])
-            ok[b] = True
-        except np.linalg.LinAlgError:
-            pass
     return X, ok
 
 
@@ -427,8 +416,8 @@ def critical_points(pot, T, seed=0, stats=None):
 
 
 def hessian_nondegenerate(pot, T, y):
-    """Determinant test of the logarithmic Hessian at a critical point.
-    Returns (nondegenerate, det).  Raises ValueError unless
+    """Singular-value test of the logarithmic Hessian at a critical point
+    (_nondegenerate).  Returns (nondegenerate, det).  Raises ValueError unless
     max|dW/ds| <= CRITICAL_TOL * sum|terms| at y, so a y with a zero,
     infinite or nan coordinate is refused."""
     logT = _log_T(T)
@@ -436,8 +425,7 @@ def hessian_nondegenerate(pot, T, y):
     scale = np.abs(E).sum()
     if not np.abs(G).max() <= CRITICAL_TOL * scale:
         raise ValueError("input is not a critical point")
-    dh = np.linalg.det(H[0])
-    return _nondegenerate(dh, scale, pot.N), dh
+    return bool(_nondegenerate(H)[0]), np.linalg.det(H[0])
 
 
 def _track(pot, S, logT, stats):

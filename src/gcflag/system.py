@@ -129,14 +129,9 @@ def fiber_point(poly, u):
         a = sorted(rows[k], reverse=True)
         b = list(np.sort(vals)[::-1])
         for j in range(k):
-            if b[j] > a[j]:
-                if b[j] - a[j] > 1e-7:
-                    raise ValueError("interlacing lost while rebuilding")
-                b[j] = a[j]
-            if b[j] < a[j + 1]:
-                if a[j + 1] - b[j] > 1e-7:
-                    raise ValueError("interlacing lost while rebuilding")
-                b[j] = a[j + 1]
+            if b[j] - a[j] > 1e-7 or a[j + 1] - b[j] > 1e-7:
+                raise ValueError("interlacing lost while rebuilding")
+            b[j] = min(max(b[j], a[j + 1]), a[j])
         order = np.argsort(vals)[::-1]
         vecs = vecs[:, order]
         arrow = arrow_completion(a, b)

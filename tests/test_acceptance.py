@@ -9,6 +9,8 @@ so they always appear:
     pytest tests/test_acceptance.py -v
 """
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,14 @@ def test_sampled_criteria_refuse_no_draws(fn, samples):
     # on no draws a sampled criterion would pass having checked nothing
     with pytest.raises(ValueError, match="samples must be at least 1"):
         getattr(criteria, fn)(samples=samples)
+
+
+def test_a_run_past_its_time_bound_fails():
+    # the registry times each run; one without a bound has no time to fail
+    bounded = dataclasses.replace(criteria.CRITERIA[0], seconds=0.0)
+    outcome = bounded()
+    assert outcome.passed is False and re.search(r" \(\d+\.\d\ds\)$", outcome.detail)
+    assert dataclasses.replace(bounded, seconds=None)().passed
 
 
 def test_determinants_fail_on_a_zero_determinant(monkeypatch):

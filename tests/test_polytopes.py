@@ -13,7 +13,7 @@ from exact_oracle import (
     solve,
     volume_of,
 )
-from gcflag.criteria import FIXED_CASES
+from gcflag.criteria import FIXED_CASES, POLYTOPE_CASES
 from gcflag.exactla import det
 from gcflag.flags import FlagType, anticanonical_lambda, dimension
 from gcflag import polytopes
@@ -344,6 +344,13 @@ def test_lattice_point_count_refuses_rational_lambda():
         lattice_point_count(poly)
     with pytest.raises(ValueError, match="integral lambda"):
         lattice_points(poly)
+
+
+def test_lattice_points_come_sorted():
+    # lattice_points does not sort: _patterns fills the coordinates in order
+    for flag, lam in POLYTOPE_CASES + [(FlagType.parse("2,4|6"), (3, 3, 0, 0, -3, -3))]:
+        pts = lattice_points(build_polytope(flag, lam))
+        assert pts == sorted(pts), (flag, lam)
 
 
 def test_lattice_points_are_contained_and_integral():

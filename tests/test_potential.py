@@ -7,7 +7,7 @@ import pytest
 from exact_oracle import apart_at_once, ladder_valuations, lstsq_fit, near_relative_to_max
 
 from gcflag.cli import main
-from gcflag.flags import FlagType
+from gcflag.flags import FlagType, anticanonical_lambda
 from gcflag.polytopes import build_polytope, is_reflexive
 from gcflag import potential
 from gcflag.potential import (
@@ -198,6 +198,17 @@ def test_solve_rows_with_a_singular_hessian_matches_rows_alone():
     X, ok = _solve_rows(H, G)
     assert ok.tolist() == [True, True, False, True, True]
     for b in np.flatnonzero(ok):
+        assert np.array_equal(X[b], np.linalg.solve(H[b], G[b]))
+
+
+def test_solve_rows_masks_on_the_slogdet_sign():
+    # det(1e-170 I) underflows to 0 though the matrix is regular; the ones
+    # matrix is singular, so the stacked solve raises
+    H = np.array([1e-170 * np.eye(3), np.ones((3, 3)), [[2, 1, 0], [1, 3, 1], [0, 1, 4]]], complex)
+    G = np.array([[1, 2, 3], [1, 1, 1], [3, 2, 1]], complex)
+    X, ok = _solve_rows(H, G)
+    assert ok.tolist() == [True, False, True]
+    for b in (0, 2):
         assert np.array_equal(X[b], np.linalg.solve(H[b], G[b]))
 
 
@@ -464,6 +475,16 @@ def test_staged_critical_points_skip_starts_the_rank_stop_never_needs():
     assert stats["row_steps"] < 15169 / 2 and stats["widest"] < stats["starts"] == 1476
 
 
+def test_drift_check_rejects_flat_valley_rows():
+    # at T = 0.01 Newton converges onto flat valleys of 3|6 anticanonical,
+    # where the step at the point stays order one
+    flag = FlagType.grassmannian(3, 6)
+    pot = build_potential(build_polytope(flag, anticanonical_lambda(flag)))
+    stats = {}
+    critical_points(pot, 0.01, stats=stats)
+    assert stats["drifting"] > 0
+
+
 def test_order_key_folds_minus_pi_onto_pi():
     # a negative real coordinate whose imaginary part is rounding noise of
     # either sign sorts the same way
@@ -489,6 +510,25 @@ def test_hessian_nondegenerate_and_rejection():
         for y in ([0, 1, 1], [np.inf, 1, 1], [np.nan, 1, 1]):
             with pytest.raises(ValueError, match="not a critical point"):
                 hessian_nondegenerate(pot, np.exp(-1.0), y)
+
+
+@pytest.mark.parametrize(
+    "flag,lam,T,count,nondegenerate",
+    [
+        (FlagType.full(5), (4, 2, 0, -2, -4), np.exp(-1.0), 120, 120),
+        (FlagType.grassmannian(3, 6), (3, 3, 3, -3, -3, -3), np.exp(-1.0), 18, 18),
+        (FlagType.grassmannian(3, 6), (3, 3, 3, -3, -3, -3), 0.01, 20, 18),
+    ],
+    ids=["1,2,3,4|5", "3|6", "3|6-T0.01"],
+)
+def test_nondegeneracy_reads_the_hessian_alone(flag, lam, T, count, nondegenerate):
+    # the terms cancel at a critical point, so a test relative to the term
+    # scale refused well-conditioned Hessians; at T = 0.01 two of the 20
+    # points of 3|6 are flat-valley points, numerically singular
+    pot = build_potential(build_polytope(flag, lam))
+    pts = critical_points(pot, T)
+    assert len(pts) == count and sum(p.nondegenerate for p in pts) == nondegenerate
+    assert positive_real_minimum(pot, T).nondegenerate
 
 
 def test_valuations_f3():
