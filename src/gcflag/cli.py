@@ -94,7 +94,8 @@ def cmd_critical(args):
     flag, poly = _build(args)
     T = parse_T(args.T)
     pot = pt.build_potential(poly)
-    points = pt.critical_points(pot, T, seed=args.seed)
+    stats = {}
+    points = pt.critical_points(pot, T, seed=args.seed, stats=stats)
     posmin = pt.positive_real_minimum(pot, T)
     pt.critical_valuation(pot, points + [posmin])
     count, rank = len(points), pt.cohomology_rank(flag)
@@ -105,17 +106,20 @@ def cmd_critical(args):
         "laurent": pot.render(),
         "critical_count": count,
         "cohomology_rank": rank,
-        "terms": [{"v": list(v), "tau": pl.frac_str(t)} for v, _, t in pot.terms],
-        "critical": [
-            {
-                "y_re": [float(x) for x in p.y.real],
-                "y_im": [float(x) for x in p.y.imag],
-                "valuation": [float(x) for x in p.valuation],
-                "nondegenerate": p.nondegenerate,
-            }
-            for p in points
-        ],
     }
+    if "outside_torus" in stats:
+        # the Toda route: the points of D = 0 whose lift leaves the torus
+        doc["outside_torus"] = stats["outside_torus"]
+    doc["terms"] = [{"v": list(v), "tau": pl.frac_str(t)} for v, _, t in pot.terms]
+    doc["critical"] = [
+        {
+            "y_re": [float(x) for x in p.y.real],
+            "y_im": [float(x) for x in p.y.imag],
+            "valuation": [float(x) for x in p.valuation],
+            "nondegenerate": p.nondegenerate,
+        }
+        for p in points
+    ]
     doc["positive_real_minimum"] = {
         "y": [float(x) for x in posmin.y.real],
         "valuation": [float(x) for x in posmin.valuation],

@@ -425,7 +425,9 @@ def positive_minimum():
 
 def level_set():
     """The momenta p_i = df/dt_i at all n! critical points lie on the Toda
-    level set D_2 = ... = D_n = 0: n = 3 and a generic n = 4."""
+    level set D_2 = ... = D_n = 0: n = 3 and a generic n = 4.  The points
+    come from the multi-start grid (level_set_check), since points taken
+    from D = 0 would pass by construction."""
     ok = True
     worst = 0.0
     counts = []

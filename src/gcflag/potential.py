@@ -5,13 +5,16 @@ in the variables y_k = e^{x_k} T^{u_k} and Q_j = T^{lambda_{n_j}} the
 facet with normal v and offset tau contributes prod_k y_k^{v_k} times
 prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
-Newton iteration in logarithmic coordinates, run on a deterministic grid
-of starts (vertices and barycenter of the polytope, with sixth-root
-phases drawn from random.Random(seed) when the grid is large) that join
-one phase draw per iteration.  Valuations are estimated by tracking all
-branches together to small T, on one adaptive predictor-corrector in
-log T whose predictor is exact where log y = u log T + c, and fitting
-the slope of log|y_k| against log T.
+Newton iteration in logarithmic coordinates.  On a full flag its starts
+are the n! points of the Toda level set D = 0, from one homotopy, lifted
+to the GC chart (toda.toda_solutions, toda.toda_lift).
+On a partial flag they are a deterministic grid (vertices and barycenter
+of the polytope, with sixth-root phases drawn from random.Random(seed)
+when the grid is large) that joins one phase draw per iteration.
+Valuations are estimated by tracking all branches together to small T,
+on one adaptive predictor-corrector in log T whose predictor is exact
+where log y = u log T + c, and fitting the slope of log|y_k| against
+log T.
 """
 
 import random
@@ -95,6 +98,10 @@ class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms pol
         e = self.terms_at(s, logT)
         return (vm * e[:, None]).T @ vm
 
+    def newton_rows(self, S, rows, logT):
+        """The Newton step of dW/ds = 0 at the given rows of S, for _newton."""
+        return _solve_blocks(self, S, rows, logT)
+
 
 def _pow(sym, e):
     return sym if e == 1 else "%s^%d" % (sym, e)
@@ -130,7 +137,7 @@ class CriticalPoint:
 NEWTON_TOL = 1e-12  # Newton has converged when max|dW/ds| <= NEWTON_TOL * scale
 VALUATION_TOL = 1e-11  # the same test on each step of the continuation in T
 VALUATION_LADDER = (1e-2, 1e-3, 1e-4)  # the continuation fits log|y| at these T, in this order
-TRACK_FIRST_STEP = 0.5  # the continuation's first step in log T
+TRACK_FIRST_STEP = 0.5  # the continuation's first step in log T, and the Toda homotopy's in t
 TRACK_MIN_STEP = 1e-4  # a step in log T cut below this means a branch is lost
 TRACK_MAXIT = 5  # a continuation step whose corrector needs more Newton steps at some row is rejected
 TRACK_EASY_IT = 2  # after a step whose corrector took at most this many, the next step is twice as long
@@ -145,6 +152,12 @@ CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
 MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
 INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 1e-6 inside every facet
 ROW_BLOCK = 256  # _solve_blocks and _same work on at most this many rows at once
+HOMOTOPY_TOL = 1e-6  # the Toda homotopy's corrector stops for t > 0 at a Newton step this small relative to the point
+HOMOTOPY_MAXIT = 3  # a homotopy step whose corrector needs more Newton steps at its path is rejected
+HOMOTOPY_EASY = 0.0625  # after a homotopy step corrected by at most this times its predicted move, the next is twice as long
+HOMOTOPY_MIN_STEP = 1e-9  # a homotopy path whose step in t is cut below this is lost
+HOMOTOPY_GAMMAS = 3  # the Toda homotopy tracks its paths again with a new gamma up to this many times in all
+TORUS_TOL = 1e-11  # toda_lift: an entry whose defining sum cancels to this fraction of its terms is zero
 
 
 def _log_T(T):
@@ -220,16 +233,20 @@ def _solve_blocks(pot, S, rows, logT, tangent=False):
     return X, ok, scale, r
 
 
-def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None, maxit=None, min_steps=0):
-    """Damped Newton in log coordinates on every row of S, a (B, N) stack:
-    the one Newton loop of the multi-start, the positive minimum and the
-    tracker's corrector.
+def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, maxit=None, min_steps=0):
+    """Damped Newton on every row of S, a (B, N) stack: the one Newton loop
+    of the multi-start, the positive minimum, the tracker's corrector and
+    the corrector of the Toda homotopy.  system is the system it solves:
+    a LaurentPotential, whose dW/ds = 0 it solves in log coordinates at
+    log T = at, or any object whose newton_rows(S, rows, at) returns the
+    Newton step at the given rows as _solve_blocks does.
 
     Rows join width at a time, in row order, one stage per iteration (all
     at once when width is None).  Each iteration evaluates and solves the
-    active rows with _solve_blocks.  Each row runs the iteration it would
-    run alone: it stops once max|dW/ds| <= tol * sum|terms| after at least
-    min_steps steps of its own, it fails when its Hessian is singular or
+    active rows with system.newton_rows.  Each row runs the iteration it
+    would run alone: it stops once r <= tol * scale (for a potential,
+    max|dW/ds| <= tol * sum|terms|) after at least min_steps steps of its
+    own, it fails when its Jacobian (the Hessian) is singular or
     after maxit steps of its own (NEWTON_MAXIT when None; the last step is
     not tested), and each step is shortened to STEP_CAP in the max norm.
     Returns (S, res, converged, singular): the final rows, the relative
@@ -256,7 +273,7 @@ def _newton(pot, S, logT, tol=NEWTON_TOL, stop=None, width=None, stats=None, max
         joined += width
         row_steps, widest = row_steps + len(active), max(widest, len(active))
         # one solve for every row: at a converged row the step is its drift
-        step, ok, scale, r = _solve_blocks(pot, S, active, logT)
+        step, ok, scale, r = system.newton_rows(S, active, at)
         done = (r <= tol * scale) & (age[active] >= min_steps)
         converged[active[done]] = True
         res[active[done]] = r[done] / scale[done]
@@ -333,7 +350,53 @@ def _same(A, Y):
 
 
 def critical_points(pot, T, seed=0, stats=None):
-    """All isolated critical points found by multi-start Newton at fixed T.
+    """All isolated critical points at fixed T in the torus, by one of two
+    routes that share their end.
+
+    On a full flag the starts are the n! points of the Toda level set
+    D = 0 (toda.toda_solutions, one homotopy whose gamma random.Random(seed)
+    picks), lifted to the GC chart (toda.toda_lift).  A point of D = 0
+    whose lift has no zero entry is a critical point, and every critical
+    point in the torus is one; the others lie outside the torus and are
+    dropped.  If the homotopy fails (RuntimeError: a path lost, or two
+    paths met, at every gamma it tries), the full flag takes the grid
+    route.  On a partial flag the starts are the multi-start grid of
+    grid_critical_points, whose phases seed draws.
+    Either way _newton polishes the starts, the drift check and the dedup
+    filter them as they converge, and Newton stops at
+    cohomology_rank(pot.flag) distinct points.
+
+    If stats is a dict it receives what grid_critical_points reports.  On
+    the Toda route starts is the number of homotopy paths, n!, and there
+    is no magnitude box: outside_box gives way to outside_torus, the paths
+    whose lift has a zero entry.  paths, homotopy_steps and
+    homotopy_rejected count the paths and their steps and rejections,
+    summed over the paths.
+    """
+    if not pot.flag.is_full():
+        return grid_critical_points(pot, T, seed=seed, stats=stats)
+    from .toda import toda_lift, toda_solutions
+
+    logT = _log_T(T)
+    lam = [float(x) for x in pot.lam]
+    homotopy = {}
+    try:
+        p = toda_solutions(lam, T, seed=seed, stats=homotopy)
+    except RuntimeError:
+        # paths into clusters of nearly equal solutions, where couplings
+        # differ by many orders, that no gamma finishes: the grid instead
+        return grid_critical_points(pot, T, seed=seed, stats=stats)
+    S, inside = toda_lift(p, lam, T)
+    points = _polish(pot, S[inside], T, logT, stats=stats)
+    if stats is not None:
+        stats.update(starts=len(S), outside_torus=int((~inside).sum()), **homotopy)
+    return points
+
+
+def grid_critical_points(pot, T, seed=0, stats=None):
+    """The critical points found by multi-start Newton from _start_grid at
+    fixed T: the route of critical_points on partial flags, and on full
+    flags the oracle of the Toda route, since it never reads D = 0.
 
     The starts join Newton one phase draw per iteration: draw d of the
     barycenter and of every vertex, so each block covers the whole
@@ -362,25 +425,38 @@ def critical_points(pot, T, seed=0, stats=None):
     # terms cancel and the residual test passes relative to a huge term
     # scale) drift outside it
     verts = np.array([v for v, _ in pot.poly.vertices()], dtype=float)
-    umin = verts.min(axis=0)
-    umax = verts.max(axis=0)
     slack = 0.5 * abs(logT) + 1.0
-    lo = umax * logT - slack  # logT < 0 flips the range
-    hi = umin * logT + slack
+    box = verts.max(axis=0) * logT - slack, verts.min(axis=0) * logT + slack  # logT < 0 flips the range
+    starts = _start_grid(pot, T, seed=seed)
+    # one block per phase draw: as many rows as magnitudes, which are the
+    # barycenter and the vertices, or one row each past MAX_STARTS
+    return _polish(pot, starts, T, logT, box=box, width=min(len(verts) + 1, len(starts)), stats=stats)
+
+
+def _polish(pot, starts, T, logT, box=None, width=None, stats=None):
+    """The end both routes of critical_points share: _newton on the starts,
+    width at a time, with the rows that converge in an iteration filtered
+    right away, in row order, by the magnitude box (lo, hi) if given, the
+    drift check and the dedup, up to cohomology_rank(pot.flag) distinct
+    points; then their CriticalPoints, sorted.  stats as in
+    grid_critical_points, with outside_box only when there is a box."""
     rank = cohomology_rank(pot.flag)
     found, Y = [], np.zeros((0, pot.N), complex)  # rows and values of the distinct points
-    rejected = dict(outside_box=0, drifting=0)
+    rejected = dict(drifting=0) if box is None else dict(outside_box=0, drifting=0)
 
     def admit(S, rows, drift):
         """Filter the rows that just converged; True once rank points are found."""
         nonlocal Y
-        inbox = ~((S[rows].real < lo).any(axis=1) | (S[rows].real > hi).any(axis=1))
-        rejected["outside_box"] += int((~inbox).sum())
+        if box is not None:
+            lo, hi = box
+            inbox = ~((S[rows].real < lo).any(axis=1) | (S[rows].real > hi).any(axis=1))
+            rejected["outside_box"] += int((~inbox).sum())
+            rows, drift = rows[inbox], drift[inbox]
         # drift check: at a genuine isolated point the Newton step is at
         # rounding level; in a flat valley it stays order one
-        steady = ~(drift[inbox] > DRIFT_TOL)
+        steady = ~(drift > DRIFT_TOL)
         rejected["drifting"] += int((~steady).sum())
-        rows = rows[inbox][steady]
+        rows = rows[steady]
         # one comparison with the points already found, then the dedup of
         # the rest one by one
         for row in rows[~_same(np.exp(S[rows]), Y).any(axis=1)]:
@@ -390,13 +466,8 @@ def critical_points(pot, T, seed=0, stats=None):
                 Y = np.vstack([Y, y])
         return len(found) >= rank
 
-    starts = _start_grid(pot, T, seed=seed)
-    # one block per phase draw: as many rows as magnitudes, which are the
-    # barycenter and the vertices, or one row each past MAX_STARTS
     newton = {}
-    S, res, converged, singular = _newton(
-        pot, starts, logT, stop=admit, width=min(len(verts) + 1, len(starts)), stats=newton
-    )
+    S, res, converged, singular = _newton(pot, starts, logT, stop=admit, width=width, stats=newton)
     points = _points(pot, S[found], T, logT, res[found])
     points.sort(key=lambda p: _order_key(p.y))
     if stats is not None:
@@ -406,8 +477,7 @@ def critical_points(pot, T, seed=0, stats=None):
             converged=n_conv,
             singular=n_sing,
             unfinished=len(S) - n_conv - n_sing - newton["not_converged"],
-            outside_box=rejected["outside_box"],
-            drifting=rejected["drifting"],
+            **rejected,
             duplicate=n_conv - sum(rejected.values()) - len(points),
             points=len(points),
             **newton,  # not_converged, row_steps, widest and longest

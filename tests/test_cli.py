@@ -163,6 +163,17 @@ def test_critical_command_continues_once(capsys, monkeypatch):
     assert len(calls[0]) == json.loads(out)["critical_count"] + 1 == 5
 
 
+def test_critical_command_reports_solutions_outside_the_torus(capsys):
+    # full flags: the Toda level set has n! points, 4 of them outside the
+    # torus at (3,1,-1,-3); partial flags have no such field
+    code, out = run(capsys, "critical", "--flag", "1,2,3|4", "--lambda", "3,1,-1,-3")
+    doc = json.loads(out)
+    assert code == 0 and (doc["critical_count"], doc["outside_torus"]) == (20, 4)
+    assert list(doc)[:7] == ["flag", "lambda", "T", "laurent", "critical_count", "cohomology_rank", "outside_torus"]
+    code, out = run(capsys, "critical", "--flag", "2|4", "--lambda", "1,1,-1,-1")
+    assert code == 0 and "outside_torus" not in json.loads(out)
+
+
 def test_critical_command_rational_lambda(capsys):
     code, out = run(capsys, "critical", "--flag", "1,2|3", "--lambda", "2,1/2,-2")
     assert code == 0

@@ -28,6 +28,7 @@ from gcflag.potential import (
     cohomology_rank,
     critical_points,
     critical_valuation,
+    grid_critical_points,
     hessian_nondegenerate,
     positive_real_minimum,
 )
@@ -262,7 +263,7 @@ def test_critical_count_f4_all_seeds(seed):
 def test_critical_stats_account_for_every_start(lam):
     pot = build_potential(build_polytope(FlagType.full(4), lam))
     stats = {}
-    pts = critical_points(pot, np.exp(-1.0), stats=stats)
+    pts = grid_critical_points(pot, np.exp(-1.0), stats=stats)
     assert stats["starts"] == len(_start_grid(pot, np.exp(-1.0))) > 0
     assert stats["points"] == len(pts)
     rejected = ("singular", "not_converged", "unfinished", "outside_box", "drifting", "duplicate")
@@ -276,11 +277,11 @@ def test_critical_stats_account_for_every_start(lam):
 def test_critical_points_stop_at_the_cohomology_rank():
     stats = {}
     pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
-    assert len(critical_points(pot, np.exp(-1.0), stats=stats)) == 24
+    assert len(grid_critical_points(pot, np.exp(-1.0), stats=stats)) == 24
     assert stats["unfinished"] > 0 and stats["not_converged"] == 0
     # fewer points than the rank: every start runs to its end
     stats = {}
-    assert len(critical_points(pot_g24(), np.exp(-1.0), stats=stats)) == 4
+    assert len(grid_critical_points(pot_g24(), np.exp(-1.0), stats=stats)) == 4
     assert stats["unfinished"] == 0 and stats["not_converged"] > 0
 
 
@@ -293,9 +294,9 @@ def test_stopped_run_matches_the_full_grid(monkeypatch, flag, lam):
     pot = build_potential(build_polytope(flag, lam))
     T = np.exp(-1.0)
     stopped_stats, full_stats = {}, {}
-    stopped = critical_points(pot, T, stats=stopped_stats)
+    stopped = grid_critical_points(pot, T, stats=stopped_stats)
     monkeypatch.setattr(potential, "cohomology_rank", lambda flag: 10**9)
-    full = critical_points(pot, T, stats=full_stats)
+    full = grid_critical_points(pot, T, stats=full_stats)
     assert full_stats["unfinished"] == 0
     assert stopped_stats["converged"] < full_stats["converged"]
     assert len(stopped) == len(full) == cohomology_rank(flag)
@@ -344,7 +345,7 @@ def test_blocked_newton_matches_one_block(monkeypatch, flag, lam):
     for block in (7, len(_start_grid(pot, T))):
         monkeypatch.setattr(potential, "ROW_BLOCK", block)
         stats.append({})
-        critical_points(pot, T, stats=stats[-1])
+        grid_critical_points(pot, T, stats=stats[-1])
     assert stats[0] == stats[1] and stats[1]["widest"] > 7
     if lam == [5, 2, 0, -4]:
         assert stats[1]["unfinished"] > 0  # the rank stop fired
@@ -375,7 +376,7 @@ def test_newton_evaluates_at_most_a_block_of_rows(monkeypatch):
     monkeypatch.setattr(potential, "_derivatives", recorded_derivatives)
     monkeypatch.setattr(potential, "_newton", marked_newton)
     stats = {}
-    assert len(critical_points(pot, np.exp(-1.0), stats=stats)) == 120
+    assert len(grid_critical_points(pot, np.exp(-1.0), stats=stats)) == 120
     assert stats["widest"] > 10 * potential.ROW_BLOCK
     assert max(sizes) == potential.ROW_BLOCK and sum(sizes) == stats["row_steps"]
 
@@ -441,7 +442,7 @@ def test_staged_critical_points_match_the_all_at_once_oracle(flag, lam, seed):
     pot = build_potential(build_polytope(flag, lam))
     T = np.exp(-1.0)
     stats = {}
-    got = critical_points(pot, T, seed=seed, stats=stats)
+    got = grid_critical_points(pot, T, seed=seed, stats=stats)
     want = all_at_once_points(pot, T, seed)
     assert len(got) == len(want) == min(len(want), cohomology_rank(flag))
     for q in want:
@@ -471,7 +472,7 @@ def test_staged_critical_points_skip_starts_the_rank_stop_never_needs():
     # of drift checks, in batches of 1,476 rows
     pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
     stats = {}
-    assert len(critical_points(pot, np.exp(-1.0), stats=stats)) == 24
+    assert len(grid_critical_points(pot, np.exp(-1.0), stats=stats)) == 24
     assert stats["row_steps"] < 15169 / 2 and stats["widest"] < stats["starts"] == 1476
 
 

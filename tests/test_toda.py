@@ -1,18 +1,31 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
-from gcflag.flags import FlagType
+from gcflag import potential, toda
+from gcflag.criteria import POLYTOPE_CASES
+from gcflag.flags import FlagType, anticanonical_lambda
 from gcflag.polytopes import build_polytope, free_positions
-from gcflag.potential import build_potential, critical_points
+from gcflag.potential import (
+    DEDUP_TOL,
+    _derivatives,
+    _same,
+    build_potential,
+    critical_points,
+    grid_critical_points,
+)
 from gcflag.toda import (
     PhaseCoordinates,
     TodaState,
+    boundary_gradients,
     gc_to_toda,
     level_set_check,
     phase_function,
     toda_hamiltonians,
+    toda_lift,
+    toda_solutions,
 )
 
 
@@ -167,3 +180,195 @@ def test_level_set_requires_full_flag_and_fixed_T():
 def test_critical_count_n3_is_factorial():
     pot = build_potential(build_polytope(FlagType.full(3), [2, 0, -2]))
     assert len(critical_points(pot, np.exp(-1.0))) == 6
+
+
+# ---------------------------------------------------------------------------
+# critical points from the level set: toda_solutions, toda_lift and the
+# Toda route of critical_points, with the grid route as the oracle
+
+
+def full_pot(lam):
+    return build_potential(build_polytope(FlagType.full(len(lam)), lam))
+
+
+def test_ladder_step_multiplies_the_characteristic_polynomial_by_x():
+    # the step from level s to level s + 1 of the ladder f = sum_s f_s,
+    # f_s = sum_i a_i / b_i + b_{i+1} / a_i with a = level s, b = level
+    # s + 1: with the momenta d f_s / d log b at level s + 1 and
+    # -d f_s / d log a at level s, det(A + xI) at level s + 1 is x times
+    # det(A + xI) at level s, couplings b_{i+1} / b_i and a_{i+1} / a_i
+    rng = np.random.default_rng(4)
+    for s in (1, 2, 3, 4):
+        a = np.exp(rng.standard_normal(s) + 1j * rng.standard_normal(s))
+        b = np.exp(rng.standard_normal(s + 1) + 1j * rng.standard_normal(s + 1))
+        up = np.zeros(s + 1, complex)
+        up[:s] -= a / b[:s]
+        up[1:] += b[1:] / a
+        down = -(a / b[:s] - b[1:] / a)
+        big = toda_hamiltonians(TodaState(p=tuple(up), q=tuple(b[1:] / b[:-1])))
+        small = toda_hamiltonians(TodaState(p=tuple(down), q=tuple(a[1:] / a[:-1])))
+        assert np.allclose(big, list(small) + [0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lam,T",
+    [((5, 2, 0, -4), np.exp(-1.0)), ((5, 2, 0, -4), 0.2), ((2, 0.5, -2), 0.5), ((4, 2, 0, -2, -4), 0.1)],
+)
+def test_lifted_level_set_points_are_critical_before_any_polish(lam, T):
+    pot = full_pot([Fraction(x) for x in lam])
+    p = toda_solutions(lam, T)
+    S, inside = toda_lift(p, lam, T)
+    assert S.shape == (factorial(len(lam)), pot.N) and inside.all()
+    E, G, _ = _derivatives(pot, S, np.log(T))
+    assert (np.abs(G).max(axis=1) <= 1e-10 * np.abs(E).sum(axis=1)).all()
+    # each lift has the momenta it was lifted from: D = 0 is symmetric
+    # under p -> -p, so the set of lifts alone would not show a sign slip
+    l = -np.log(T) * np.array(lam, dtype=float)
+    for s, row in zip(S, p):
+        g = boundary_gradients(gc_to_toda(s, np.zeros_like(s), l))
+        assert np.abs(g - row).max() <= 1e-9 * np.abs(row).max()
+
+
+def test_level_set_points_solve_the_toda_hamiltonians():
+    lam, T = (3, 1, -1, -3), np.exp(-1.0)
+    stats = {}
+    p = toda_solutions(lam, T, stats=stats)
+    assert p.shape == (24, 4) and stats["paths"] == 24
+    assert 0 < stats["homotopy_rejected"] < stats["homotopy_steps"]
+    q = np.exp(np.diff(lam))  # q_i = exp(lambda_{i+1} - lambda_i) at T = e^-1
+    for row in p:
+        D = toda_hamiltonians(TodaState(p=tuple(row), q=tuple(q)))
+        assert max(abs(d) for d in D) <= 1e-10 * max(1.0, np.abs(row).max() ** 4)
+    # n! distinct points: no two paths end at one
+    assert not toda._meet(p).any()
+
+
+def within(Y, X):
+    """The rows of Y that lie within DEDUP_TOL of a row of X (_same)."""
+    return _same(Y, X).any(axis=1)
+
+
+FULL_CASES = [(fl, lam) for fl, lam in POLYTOPE_CASES if fl.is_full()] + [
+    (FlagType.full(5), (4, 2, 0, -2, -4)),
+    (FlagType.full(5), (7, 3, 0, -2, -8)),
+]
+
+
+@pytest.mark.parametrize("flag,lam", FULL_CASES, ids=[",".join(map(str, lam)) for _, lam in FULL_CASES])
+def test_toda_route_holds_the_grid_points(flag, lam):
+    pot = build_potential(build_polytope(flag, lam))
+    T = np.exp(-1.0)
+    stats = {}
+    toda = critical_points(pot, T, stats=stats)
+    grid = grid_critical_points(pot, T)
+    Y, X = np.array([p.y for p in toda]), np.array([p.y for p in grid])
+    assert within(X, Y).all()
+    if len(grid) == factorial(flag.n):
+        # the same count and, point by point, the same order
+        assert len(toda) == len(grid)
+        assert (np.abs(Y - X) <= DEDUP_TOL * np.maximum(np.abs(Y), np.abs(X))).all()
+    assert stats["paths"] == stats["starts"] == factorial(flag.n)
+    rejected = ("outside_torus", "singular", "not_converged", "unfinished", "drifting", "duplicate")
+    assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
+    assert "outside_box" not in stats
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lam", [(3, 1, -1, -3), (5, 2, 0, -4), (7, 3, 0, -2, -8)])
+def test_toda_route_gives_one_set_at_every_seed(lam, seed):
+    pot = full_pot(lam)
+    T = np.exp(-1.0)
+    stats = {}
+    got = np.array([p.y for p in critical_points(pot, T, seed=seed, stats=stats)])
+    want = np.array([p.y for p in critical_points(pot, T)])
+    assert len(got) == len(want) == (20 if lam == (3, 1, -1, -3) else factorial(len(lam)))
+    assert stats["outside_torus"] == factorial(len(lam)) - len(want)
+    assert within(got, want).all()
+
+
+def test_toda_route_at_3_1_m1_m3_drops_four_points_outside_the_torus():
+    stats = {}
+    pts = critical_points(full_pot((3, 1, -1, -3)), np.exp(-1.0), stats=stats)
+    assert len(pts) == 20 and stats["outside_torus"] == 4
+    assert all(p.nondegenerate for p in pts)
+
+
+def test_toda_route_at_anticanonical_n6_holds_points_outside_the_grid_box():
+    # 706 torus points and 14 outside; the grid's magnitude box would drop
+    # 8 nondegenerate torus points, 1.70-1.86 outside it in log|y|
+    flag = FlagType.full(6)
+    pot = build_potential(build_polytope(flag, anticanonical_lambda(flag)))
+    T = np.exp(-1.0)
+    stats = {}
+    pts = critical_points(pot, T, stats=stats)
+    assert len(pts) == 706 and stats["outside_torus"] == 14
+    assert all(p.nondegenerate for p in pts)
+    verts = np.array([v for v, _ in pot.poly.vertices()], dtype=float)
+    slack = 0.5 + 1.0
+    lo, hi = verts.max(axis=0) * -1.0 - slack, verts.min(axis=0) * -1.0 + slack
+    s = np.log(np.abs(np.array([p.y for p in pts])))
+    beyond = np.maximum(lo - s, s - hi).max(axis=1)
+    assert (beyond > 0).sum() == 8
+    assert 1.69 < beyond[beyond > 0].min() and beyond.max() < 1.87
+
+
+def test_toda_route_at_7_3_1_0_m2_m9_finds_all_720_points_at_every_seed():
+    # the multi-start found 661, 660, 655 and 665 at seeds 0-3
+    pot = full_pot((7, 3, 1, 0, -2, -9))
+    sets = []
+    for seed in range(4):
+        stats = {}
+        pts = critical_points(pot, np.exp(-1.0), seed=seed, stats=stats)
+        assert len(pts) == 720 and stats["outside_torus"] == 0
+        assert all(p.nondegenerate for p in pts)
+        sets.append(np.array([p.y for p in pts]))
+    for Y in sets[1:]:
+        assert within(Y, sets[0]).all()
+
+
+def test_homotopy_gives_up_after_its_gammas(monkeypatch):
+    monkeypatch.setattr(potential, "HOMOTOPY_MIN_STEP", 1.0)  # every path is lost at once
+    with pytest.raises(RuntimeError, match="homotopy lost a path, or two paths met, at each of 3 gammas"):
+        toda_solutions((2, 0, -2), np.exp(-1.0))
+
+
+@pytest.mark.parametrize("fault", ["lost", "met"])
+def test_homotopy_tracks_again_with_the_next_gamma(monkeypatch, fault):
+    # a lost path, or two paths that end at one point, send every path
+    # round again with the next gamma of random.Random(seed)
+    lam, T = (5, 2, 0, -4), np.exp(-1.0)
+    want = toda_solutions(lam, T)
+    paths, gammas = toda._paths, []
+
+    def faulty(homotopy, Z, counts):
+        gammas.append(homotopy.gamma)
+        ends = paths(homotopy, Z, counts)
+        if len(gammas) == 1:
+            if fault == "lost":
+                return None
+            ends[1] = ends[0]
+        return ends
+
+    monkeypatch.setattr(toda, "_paths", faulty)
+    got = toda_solutions(lam, T)
+    assert len(gammas) == 2 and gammas[0] != gammas[1]
+    assert within(got, want).all() and len(got) == len(want) == 24
+
+
+def test_level_set_check_runs_on_the_grid_points(monkeypatch):
+    # points taken from D = 0 would pass the check by construction
+    monkeypatch.setattr(potential, "critical_points", None)
+    assert len(level_set_check(full_pot((5, 2, 0, -4)))) == 24
+
+
+def test_full_flag_takes_the_grid_route_when_the_homotopy_fails(monkeypatch):
+    def fails(*args, **kwargs):
+        raise RuntimeError("homotopy lost a path, or two paths met, at each of 3 gammas")
+
+    monkeypatch.setattr(toda, "toda_solutions", fails)
+    pot = full_pot((5, 2, 0, -4))
+    stats, grid_stats = {}, {}
+    got = critical_points(pot, np.exp(-1.0), stats=stats)
+    want = grid_critical_points(pot, np.exp(-1.0), stats=grid_stats)
+    assert stats == grid_stats and "outside_torus" not in stats
+    assert [p.y.tolist() for p in got] == [p.y.tolist() for p in want]
