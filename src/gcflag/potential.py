@@ -11,10 +11,10 @@ to the GC chart (toda.toda_solutions, toda.toda_lift).
 On a partial flag they are a deterministic grid (vertices and barycenter
 of the polytope, with sixth-root phases drawn from random.Random(seed)
 when the grid is large) that joins one phase draw per iteration.
-Valuations are estimated by tracking all branches together to small T,
-on one adaptive predictor-corrector in log T whose predictor is exact
-where log y = u log T + c, and fitting the slope of log|y_k| against
-log T.
+Valuations are estimated by continuing every branch to small T, each on
+its own steps in log T of _track, the one adaptive predictor-corrector
+(it also carries the Toda homotopy), whose predictor is exact where
+log y = u log T + c, and fitting the slope of log|y_k| against log T.
 """
 
 import random
@@ -102,6 +102,11 @@ class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms pol
         """The Newton step of dW/ds = 0 at the given rows of S, for _newton."""
         return _solve_blocks(self, S, rows, logT)
 
+    def tangent_rows(self, S, rows, logT):
+        """The tangent dS/dlog T of the branches through the given rows of
+        S, and where it was solved, for _track."""
+        return _solve_blocks(self, S, rows, logT, tangent=True)[:2]
+
 
 def _pow(sym, e):
     return sym if e == 1 else "%s^%d" % (sym, e)
@@ -137,11 +142,11 @@ class CriticalPoint:
 NEWTON_TOL = 1e-12  # Newton has converged when max|dW/ds| <= NEWTON_TOL * scale
 VALUATION_TOL = 1e-11  # the same test on each step of the continuation in T
 VALUATION_LADDER = (1e-2, 1e-3, 1e-4)  # the continuation fits log|y| at these T, in this order
-TRACK_FIRST_STEP = 0.5  # the continuation's first step in log T, and the Toda homotopy's in t
-TRACK_MIN_STEP = 1e-4  # a step in log T cut below this means a branch is lost
-TRACK_MAXIT = 5  # a continuation step whose corrector needs more Newton steps at some row is rejected
-TRACK_EASY_IT = 2  # after a step whose corrector took at most this many, the next step is twice as long
-CORRECTION_RATIO = 0.25  # the corrector may move a row at most this times its predicted move
+TRACK_FIRST_STEP = 0.5  # _track's first step at every row: in log T for the valuations, in t for the Toda homotopy
+TRACK_MIN_STEP = 1e-9  # a row whose step _track cuts below this has lost its branch
+TRACK_MAXIT = 3  # a _track step whose corrector needs more Newton steps at a row is rejected there
+TRACK_EASY = 0.0625  # after a step corrected by at most this times its predicted move, the row's next step is twice as long
+CORRECTION_RATIO = 1.0  # _track's corrector may move a row at most this times its predicted move
 NEWTON_MAXIT = 80  # a start that has not converged after this many steps fails
 STEP_CAP = 2.0  # a Newton step moves at most this far in log space (max norm)
 DRIFT_TOL = 1e-6  # a longer Newton step at a converged point marks a flat valley
@@ -153,9 +158,6 @@ MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
 INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 1e-6 inside every facet
 ROW_BLOCK = 256  # _solve_blocks and _same work on at most this many rows at once
 HOMOTOPY_TOL = 1e-6  # the Toda homotopy's corrector stops for t > 0 at a Newton step this small relative to the point
-HOMOTOPY_MAXIT = 3  # a homotopy step whose corrector needs more Newton steps at its path is rejected
-HOMOTOPY_EASY = 0.0625  # after a homotopy step corrected by at most this times its predicted move, the next is twice as long
-HOMOTOPY_MIN_STEP = 1e-9  # a homotopy path whose step in t is cut below this is lost
 HOMOTOPY_GAMMAS = 3  # the Toda homotopy tracks its paths again with a new gamma up to this many times in all
 TORUS_TOL = 1e-11  # toda_lift: an entry whose defining sum cancels to this fraction of its terms is zero
 
@@ -217,7 +219,8 @@ def _solve_rows(H, G):
 
 
 def _solve_blocks(pot, S, rows, logT, tangent=False):
-    """At the given rows of S, evaluated and solved ROW_BLOCK rows at a time
+    """At the given rows of S, each at its own log T (logT holds one per
+    row of S), evaluated and solved ROW_BLOCK rows at a time
     so the working set does not grow with the number of rows: the Newton
     step H^-1 dW/ds or, with tangent, the tangent dS/dlogT = H^-1 ((E tau)
     @ V) of a branch of critical points.  Returns (X, ok, scale, r): the
@@ -227,7 +230,7 @@ def _solve_blocks(pot, S, rows, logT, tangent=False):
     scale, r = np.empty(len(rows)), np.empty(len(rows))
     for b in range(0, len(rows), ROW_BLOCK):
         block = slice(b, b + ROW_BLOCK)
-        E, G, H = _derivatives(pot, S[rows[block]], logT)
+        E, G, H = _derivatives(pot, S[rows[block]], logT[rows[block], None])
         scale[block], r[block] = np.abs(E).sum(axis=1), np.abs(G).max(axis=1)
         X[block], ok[block] = _solve_rows(H, (E * pot._taus) @ pot._vm if tangent else G)
     return X, ok, scale, r
@@ -235,11 +238,12 @@ def _solve_blocks(pot, S, rows, logT, tangent=False):
 
 def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, maxit=None, min_steps=0):
     """Damped Newton on every row of S, a (B, N) stack: the one Newton loop
-    of the multi-start, the positive minimum, the tracker's corrector and
-    the corrector of the Toda homotopy.  system is the system it solves:
+    of the multi-start, the positive minimum, _track's corrector and the
+    polish of the Toda homotopy's ends.  system is the system it solves:
     a LaurentPotential, whose dW/ds = 0 it solves in log coordinates at
     log T = at, or any object whose newton_rows(S, rows, at) returns the
-    Newton step at the given rows as _solve_blocks does.
+    Newton step at the given rows as _solve_blocks does.  at is one value,
+    or one per row of S, which newton_rows reads at the rows it solves.
 
     Rows join width at a time, in row order, one stage per iteration (all
     at once when width is None).  Each iteration evaluates and solves the
@@ -262,6 +266,7 @@ def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, ma
     """
     maxit = NEWTON_MAXIT if maxit is None else maxit
     S = np.array(S, dtype=complex)
+    at = np.broadcast_to(at, len(S))
     res = np.full(len(S), np.nan)
     converged = np.zeros(len(S), bool)
     singular = np.zeros(len(S), bool)
@@ -498,72 +503,89 @@ def hessian_nondegenerate(pot, T, y):
     return bool(_nondegenerate(H)[0]), np.linalg.det(H[0])
 
 
-def _track(pot, S, logT, stats):
-    """Continue the rows of S, critical points at logT, down through the T
-    of VALUATION_LADDER; returns their real parts at each of those T.
+def _track(system, S, at, targets, tol, min_steps, stats):
+    """The one path tracker: continue the rows of S, solutions of system
+    at the parameter at, through each of targets in turn, and return the
+    rows at each, a (len(targets), B, N) array.  The valuations track a
+    LaurentPotential in log T, the Toda homotopy its paths in t.  system
+    has newton_rows, for _newton, and tangent_rows(S, rows, at) -> (X, ok),
+    the tangent dS/dat; both read one parameter per row.
 
-    Each step moves all rows by h in log T.  The predictor follows the
-    tangent dS/dlogT of _solve_blocks at the last accepted rows, exact
-    where log y = u log T + c.  The corrector is _newton to VALUATION_TOL,
-    at least one step and at most TRACK_MAXIT on every row.  A step is
-    rejected and h halved when the tangent or the corrector fails at some
-    row, the corrector moves a row by more than CORRECTION_RATIO of its
-    predicted move, or two rows that were distinct at the start become one
-    point (a collision: a branch jumped onto another).  h doubles after a
-    step whose corrector took at most TRACK_EASY_IT steps, and is cut to
-    land on each T of the ladder.  stats counts the steps and their
-    outcomes.
+    Each row keeps its own parameter and step h.  The predictor is the
+    cubic Hermite through the row's last two accepted points and their
+    tangents (the tangent alone at first), exact on a line such as
+    log y = u log T + c.  The corrector is _newton to tol, with at least
+    min_steps and at most TRACK_MAXIT steps.  A step is rejected, and h
+    halved, where the corrector fails, moves the row more than
+    CORRECTION_RATIO times its predicted move, or leaves no tangent; h
+    doubles after a correction of at most TRACK_EASY times that move.
+    Steps are cut to land on each target, up or down, and a row already
+    on one lands without a step.  stats["steps"] and stats["rejected"]
+    count the row steps tried and rejected.  A row whose h falls below
+    TRACK_MIN_STEP has lost its branch: RuntimeError names the row, its
+    last accepted parameter and h.
     """
-    rows = np.arange(len(S))
-    distinct = ~_same(np.exp(S), np.exp(S))
-    tangent, ok, _, _ = _solve_blocks(pot, S, rows, logT, tangent=True)
-    # _newton does not test a row after its last step, so the corrector
-    # gets one step more than TRACK_MAXIT for the TRACK_MAXIT-th to count
-    corrector_maxit = TRACK_MAXIT + 1
-    h, samples = TRACK_FIRST_STEP, []
-    for target in np.log(VALUATION_LADDER):
-        while logT > target:
-            if h < TRACK_MIN_STEP:
-                raise RuntimeError("continuation lost the branch at log T = %.6g, step h = %.3g" % (logT, h))
-            stats["steps"] += 1
-            t1 = max(logT - h, target)
-            predicted = S + (t1 - logT) * tangent
-            corrector, accepted = {}, ok.all()
-            if accepted:
-                C, _, converged, _ = _newton(
-                    pot, predicted, t1, VALUATION_TOL, stats=corrector, maxit=corrector_maxit, min_steps=1
-                )
-                moved, corrected = np.abs(predicted - S).max(axis=1), np.abs(C - predicted).max(axis=1)
-                accepted = converged.all() and (corrected <= CORRECTION_RATIO * moved).all()
-            if accepted and (distinct & _same(np.exp(C), np.exp(C))).any():
-                stats["collisions"] += 1
-                accepted = False
-            if not accepted:
-                stats["rejected"] += 1
-                h /= 2
-                continue
-            stats["accepted"] += 1
-            S, logT = C, t1
-            tangent, ok, _, _ = _solve_blocks(pot, S, rows, logT, tangent=True)
-            if corrector["longest"] <= TRACK_EASY_IT:
-                h *= 2
-        samples.append(S.real.ravel())
-    return samples
+    S = np.array(S, dtype=complex)
+    targets = np.asarray(targets, dtype=float)
+    at, h = np.full(len(S), float(at)), np.full(len(S), TRACK_FIRST_STEP)
+    goal = np.zeros(len(S), int)  # the index of each row's next target
+    ends = np.empty((len(targets),) + S.shape, complex)
+    dS, ok = system.tangent_rows(S, np.arange(len(S)), at)
+    h[~ok] = 0.0  # a row without a tangent cannot move
+    # each row's accepted point before its current one, for the cubic
+    at0, S0, dS0 = np.full(len(S), np.nan), S.copy(), dS.copy()
+    active = np.arange(len(S))
+    while True:
+        landed = active[at[active] == targets[goal[active]]]
+        ends[goal[landed], landed] = S[landed]
+        goal[landed] += 1
+        active = active[goal[active] < len(targets)]
+        if not active.size:
+            return ends
+        lost = active[h[active] < TRACK_MIN_STEP]
+        if lost.size:
+            row = lost[0]
+            raise RuntimeError("continuation lost the branch of row %d at %.6g, step h = %.3g" % (row, at[row], h[row]))
+        t = np.clip(targets[goal[active]], at[active] - h[active], at[active] + h[active])
+        predicted = S[active] + (t - at[active])[:, None] * dS[active]
+        cubic = ~np.isnan(at0[active])
+        two = active[cubic]
+        u = (at[two] - at0[two])[:, None]
+        x = (t[cubic, None] - at0[two, None]) / u
+        predicted[cubic] = (
+            (2 * x**3 - 3 * x**2 + 1) * S0[two] + (x**3 - 2 * x**2 + x) * u * dS0[two]
+            + (3 * x**2 - 2 * x**3) * S[two] + (x**3 - x**2) * u * dS[two]
+        )
+        # _newton does not test a row after its last step, so the corrector
+        # gets one step more than TRACK_MAXIT for the TRACK_MAXIT-th to count
+        C, _, converged, _ = _newton(system, predicted, t, tol, maxit=TRACK_MAXIT + 1, min_steps=min_steps)
+        moved, corrected = np.abs(predicted - S[active]).max(axis=1), np.abs(C - predicted).max(axis=1)
+        good = converged & (corrected <= CORRECTION_RATIO * moved)
+        X, ok = system.tangent_rows(C, np.flatnonzero(good), t)
+        good[good] = ok
+        stats["steps"] += len(active)
+        stats["rejected"] += int((~good).sum())
+        h[active[~good]] /= 2
+        h[active[good & (corrected <= TRACK_EASY * moved)]] *= 2
+        done = active[good]
+        at0[done], S0[done], dS0[done] = at[done], S[done], dS[done]
+        S[done], at[done], dS[done] = C[good], t[good], X[ok]
 
 
 def critical_valuation(pot, points, stats=None):
     """Estimate v(y_k) by continuation of branches to small T.
 
     points is one CriticalPoint or a sequence of points that share their
-    T.  All branches are tracked together by _track, from T down through
-    VALUATION_LADDER (the path depends only on T), and log|y_k| is fit
-    against log T.  The valuation and the fit residual are stored on each
-    point.  Returns the valuation vector of a single point, or a
-    (len(points), N) array.  Raises RuntimeError if any branch is lost.
+    T.  _track continues each branch on its own steps from T through
+    VALUATION_LADDER, and log|y_k| is fit against log T.  The valuation
+    and the fit residual are stored on each point.  Returns the valuation
+    vector of a single point, or a (len(points), N) array.  Raises
+    RuntimeError if a branch is lost (the error names its row, its last
+    log T and its step h) or if two branches distinct at T are one point
+    (_same) at a T of the ladder: one jumped onto the other.
 
-    If stats is a dict it receives the tracker's counts: steps attempted,
-    accepted and rejected, and collisions, the rejections because two
-    branches met.
+    If stats is a dict it receives the tracker's steps and rejected,
+    summed over the branches.
     """
     single = isinstance(points, CriticalPoint)
     pts = [points] if single else list(points)
@@ -573,8 +595,17 @@ def critical_valuation(pot, points, stats=None):
     if any(p.T != T for p in pts):
         raise ValueError("points must share their T")
     stats = {} if stats is None else stats
-    stats.update(steps=0, accepted=0, rejected=0, collisions=0)
-    samples = np.array(_track(pot, np.log(np.array([p.y for p in pts], dtype=complex)), np.log(T), stats))
+    stats.update(steps=0, rejected=0)
+    Y = np.array([p.y for p in pts], dtype=complex)
+    # at least one corrector step at every row: a predicted point that
+    # already passed the residual test moved valuations at anticanonical
+    # n = 6 by 8e-8, and carried (6,3,-1,-5) past its pole at log T = -ln 4
+    ends = _track(pot, np.log(Y), np.log(T), np.log(VALUATION_LADDER), VALUATION_TOL, 1, stats)
+    distinct = ~_same(Y, Y)
+    for ladder_T, end in zip(VALUATION_LADDER, np.exp(ends)):
+        if (distinct & _same(end, end)).any():
+            raise RuntimeError("two branches met at T = %g" % ladder_T)
+    samples = ends.real.reshape(len(VALUATION_LADDER), -1)
     # least squares of log|y| = slope log T + c over the ladder, in closed
     # form on the mean-centred log T and samples
     x = np.log(VALUATION_LADDER)

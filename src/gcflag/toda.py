@@ -196,7 +196,6 @@ class _Homotopy:
         self.q[:2, :, 0, 0] = q, q[::-1]
         self.roots = np.exp(2j * np.pi * k / (n + 1))
         self.dft = np.exp(-2j * np.pi * np.outer(k, k) / (n + 1)) / (n + 1)
-        self.tangent = None
 
     def _toda(self, Z):
         """(F, G) (2, B, n-1) and their z-Jacobians (2, B, n-1, n-1) at the
@@ -219,24 +218,29 @@ class _Homotopy:
         dp = (lead[:n, ::2] * lead[n - 1 :: -1, 1::2]) @ self.dft  # (n, 2, B, n + 1): d/dp_j
         return c, (dp[1:] - dp[0])[..., n - 2 :: -1].transpose(1, 2, 3, 0)
 
-    def newton_rows(self, Z, rows, t):
-        """The Newton step H_z^-1 H at the given rows of Z, each at its own
-        t, for _newton.  Returns (X, ok, scale, r) as _solve_blocks does, but
-        r is the max norm of the step and scale that of the row: the terms
-        of H cancel too deeply near clustered points for a test on |H| to
-        place a point.  The same solve leaves dz/dt = -H_z^-1 dH/dt at those
-        rows in self.tangent, so the tracker has the tangent at each point
-        its corrector accepts without another solve."""
+    def _solve(self, Z, rows, t, tangent=False):
+        """At the given rows of Z, each at its own t: the Newton step J^-1 H
+        or, with tangent, the tangent dz/dt = J^-1 (F - gamma G), J the
+        z-Jacobian of H; and where it was solved (_solve_rows)."""
         from .potential import _solve_rows
 
         t = t[rows, None]
         (F, G), (dF, dG) = self._toda(Z[rows])
-        H = t * self.gamma * G + (1 - t) * F
         J = (1 - t)[..., None] * dF + (t * self.gamma)[..., None] * dG
-        X, ok = _solve_rows(np.concatenate([J, J]), np.concatenate([H, self.gamma * G - F]))
-        X, ok = X.reshape(2, len(rows), -1), ok[: len(rows)] & ok[len(rows) :]
-        self.tangent[rows] = -X[1]
-        return X[0], ok, np.abs(Z[rows]).max(axis=1), np.where(ok, np.abs(X[0]).max(axis=1), np.inf)
+        return _solve_rows(J, F - self.gamma * G if tangent else t * self.gamma * G + (1 - t) * F)
+
+    def newton_rows(self, Z, rows, t):
+        """The Newton step at the given rows of Z, for _newton.  Returns
+        (X, ok, scale, r) as _solve_blocks does, but r is the max norm of
+        the step and scale that of the row: the terms of H cancel too
+        deeply near clustered points for a test on |H| to place a point."""
+        X, ok = self._solve(Z, rows, t)
+        return X, ok, np.abs(Z[rows]).max(axis=1), np.where(ok, np.abs(X).max(axis=1), np.inf)
+
+    def tangent_rows(self, Z, rows, t):
+        """The tangent dz/dt at the given rows of Z, and where it was
+        solved, for _track."""
+        return self._solve(Z, rows, t, tangent=True)
 
 
 def toda_solutions(lam, T, seed=0, stats=None):
@@ -248,13 +252,15 @@ def toda_solutions(lam, T, seed=0, stats=None):
     The level set has exactly n! points and none at infinity, so the
     homotopy _Homotopy, whose start system has n! roots and the leading
     forms of F, reaches each one (Sommese & Wampler, 2005); gamma, a unit
-    complex, keeps the paths apart for t in (0, 1].  _paths tracks them.
+    complex, keeps the paths apart for t in (0, 1].  potential._track
+    carries the paths from t = 1 to 0, its corrector stopping at
+    HOMOTOPY_TOL, and _newton polishes their ends at t = 0 to NEWTON_TOL.
     If a path is lost, or two paths end at one point (one jumped onto
     another), every path is tracked again with the next gamma that
     random.Random(seed) draws, up to HOMOTOPY_GAMMAS draws; then
     RuntimeError.  stats, if a dict, receives paths, and the steps and
     rejections summed over every path tracked."""
-    from .potential import HOMOTOPY_GAMMAS, _log_T
+    from .potential import HOMOTOPY_GAMMAS, HOMOTOPY_TOL, NEWTON_TOL, _log_T, _newton, _track
 
     n = len(lam)
     l = -_log_T(T) * np.asarray(lam, dtype=float)
@@ -263,16 +269,23 @@ def toda_solutions(lam, T, seed=0, stats=None):
     # the size of G's roots: with q small they would crowd together near 0
     sigma = np.exp((l[-1] - l[0]) / (2 * (n - 1)))
     starts = -np.array(list(itertools.permutations(np.exp(2j * np.pi * np.arange(n) / n))))[:, 1:]
-    counts = dict(homotopy_steps=0, homotopy_rejected=0)
+    track = dict(steps=0, rejected=0)
     draw = random.Random(seed).random
     for _ in range(HOMOTOPY_GAMMAS):
-        Z = _paths(_Homotopy(np.exp(np.diff(l)) / sigma**2, np.exp(2j * np.pi * draw())), starts, counts)
-        if Z is not None and not _meet(Z).any():
+        homotopy = _Homotopy(np.exp(np.diff(l)) / sigma**2, np.exp(2j * np.pi * draw()))
+        try:
+            # no forced corrector step: at n = 2 the path is constant, and
+            # a step of rounding size would exceed its zero predicted move
+            Z = _track(homotopy, starts, 1.0, (0.0,), HOMOTOPY_TOL, 0, track)[0]
+        except RuntimeError:
+            continue  # a path was lost
+        Z = _newton(homotopy, Z, 0.0, NEWTON_TOL)[0]
+        if not _meet(Z).any():
             break
     else:
         raise RuntimeError("homotopy lost a path, or two paths met, at each of %d gammas" % HOMOTOPY_GAMMAS)
     if stats is not None:
-        stats.update(paths=len(Z), **counts)
+        stats.update(paths=len(Z), homotopy_steps=track["steps"], homotopy_rejected=track["rejected"])
     return sigma * np.concatenate([-Z.sum(axis=1, keepdims=True), Z], axis=1)
 
 
@@ -294,64 +307,6 @@ def _meet(Z):
         close[np.arange(len(far)), np.arange(b, b + len(far))] = False
         meet[block] = close.any(axis=1)
     return meet
-
-
-def _paths(homotopy, Z, counts):
-    """The ends at t = 0 of the paths of homotopy from the rows of Z at
-    t = 1, each with its own step in t.  The predictor is the cubic
-    through the last two accepted points and their tangents (the tangent
-    alone at the first step); the corrector is _newton to HOMOTOPY_TOL.  A
-    step is rejected and halved when the corrector needs more than
-    HOMOTOPY_MAXIT steps or moves the point further than its predicted
-    move, and doubled after a correction of at most HOMOTOPY_EASY times
-    that move.  The ends get _newton at t = 0 to NEWTON_TOL.  None when a
-    path's step falls below HOMOTOPY_MIN_STEP: the path is lost.  counts
-    receives the steps and rejections."""
-    from .potential import (
-        HOMOTOPY_EASY,
-        HOMOTOPY_MAXIT,
-        HOMOTOPY_MIN_STEP,
-        HOMOTOPY_TOL,
-        NEWTON_TOL,
-        TRACK_FIRST_STEP,
-        _newton,
-    )
-
-    Z = Z.copy()
-    t, h = np.ones(len(Z)), np.full(len(Z), TRACK_FIRST_STEP)
-    active = np.arange(len(Z))
-    homotopy.tangent = np.empty_like(Z)
-    homotopy.newton_rows(Z, active, t)
-    dz = homotopy.tangent
-    # the accepted point before the current one, for the cubic predictor
-    t0, Z0, dz0 = np.full(len(Z), np.nan), Z.copy(), dz.copy()
-    while active.size:
-        if (h[active] < HOMOTOPY_MIN_STEP).any():
-            return None
-        t1 = np.maximum(t[active] - h[active], 0.0)
-        predicted = Z[active] + (t1 - t[active])[:, None] * dz[active]
-        cubic = ~np.isnan(t0[active])
-        two = active[cubic]
-        u = (t[two] - t0[two])[:, None]
-        x = (t1[cubic, None] - t0[two, None]) / u
-        predicted[cubic] = (
-            (2 * x**3 - 3 * x**2 + 1) * Z0[two] + (x**3 - 2 * x**2 + x) * u * dz0[two]
-            + (3 * x**2 - 2 * x**3) * Z[two] + (x**3 - x**2) * u * dz[two]
-        )
-        homotopy.tangent = np.empty_like(predicted)
-        C, _, converged, _ = _newton(homotopy, predicted, t1, HOMOTOPY_TOL, maxit=HOMOTOPY_MAXIT + 1)
-        moved, corrected = np.abs(predicted - Z[active]).max(axis=1), np.abs(C - predicted).max(axis=1)
-        good = converged & (corrected <= moved)
-        counts["homotopy_steps"] += len(active)
-        counts["homotopy_rejected"] += int((~good).sum())
-        h[active[~good]] /= 2
-        h[active[good & (corrected <= HOMOTOPY_EASY * moved)]] *= 2
-        done = active[good]
-        t0[done], Z0[done], dz0[done] = t[done], Z[done], dz[done]
-        Z[done], t[done], dz[done] = C[good], t1[good], homotopy.tangent[good]
-        active = active[t[active] > 0]
-    homotopy.tangent = np.empty_like(Z)
-    return _newton(homotopy, Z, t, NEWTON_TOL)[0]
 
 
 def toda_lift(p, lam, T):

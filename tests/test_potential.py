@@ -606,8 +606,9 @@ def test_closed_form_fit_matches_lstsq(monkeypatch, flag, lam):
     track = potential._track
 
     def recorded(*args):
-        samples.extend(track(*args))
-        return samples
+        ends = track(*args)
+        samples.extend(ends.real.reshape(len(ends), -1))
+        return ends
 
     monkeypatch.setattr(potential, "_track", recorded)
     vals = critical_valuation(pot, pts)
@@ -646,21 +647,22 @@ def test_blocked_same_point_mask_matches_the_one_shot_oracle(blocks, extra):
 
 
 def test_tracker_counts_every_step(monkeypatch):
+    # a step is one row's corrector run at one log T of its own
     pot, pts, _ = continued(*JUMP_CASE)
     attempts = []
     newton = potential._newton
 
     def counted(pot, S, logT, *args, **kwargs):
-        attempts.append(logT)
+        attempts.extend(logT)
         return newton(pot, S, logT, *args, **kwargs)
 
     monkeypatch.setattr(potential, "_newton", counted)
     stats = {}
     critical_valuation(pot, pts, stats=stats)
     assert stats["steps"] == len(attempts)
-    assert stats["accepted"] + stats["rejected"] == stats["steps"]
-    assert stats["accepted"] >= len(VALUATION_LADDER) and stats["rejected"] >= 1
-    assert 0 <= stats["collisions"] <= stats["rejected"]
+    # each row lands on each T of the ladder once, by an accepted step
+    assert stats["steps"] - stats["rejected"] >= len(pts) * len(VALUATION_LADDER)
+    assert stats["rejected"] >= 1
     # steps land on every T of the ladder
     assert set(np.log(VALUATION_LADDER)) <= set(attempts)
 
@@ -668,54 +670,97 @@ def test_tracker_counts_every_step(monkeypatch):
 @pytest.mark.parametrize("guard", ["collision", "correction"])
 def test_each_guard_alone_keeps_the_branches(monkeypatch, guard):
     # with the corrector's steps and step count uncapped, the first step at
-    # (7,3,0,-2,-8) converges with 4 branches on 4 others; either remaining
-    # guard rejects it (STEP_CAP alone keeps the branches there)
+    # (7,3,0,-2,-8) can converge with branches on others.  The correction
+    # guard alone keeps every branch; with the collision test alone a
+    # branch runs off to overflow and is lost, and critical_valuation
+    # raises instead of returning wrong valuations
     pot, pts, want = continued(*JUMP_CASE)
     monkeypatch.setattr(potential, "TRACK_MAXIT", NEWTON_MAXIT)
     monkeypatch.setattr(potential, "STEP_CAP", 1e9)
     if guard == "collision":
         monkeypatch.setattr(potential, "CORRECTION_RATIO", np.inf)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="lost the branch"):
+            critical_valuation(pot, pts)
     else:
         monkeypatch.setattr(potential, "_same", lambda A, Y: np.zeros((len(A), len(Y)), bool))
-    stats = {}
-    vals = critical_valuation(pot, pts, stats=stats)
-    assert (stats["collisions"] >= 1) == (guard == "collision")
-    assert np.abs(vals - want).max() <= 1e-8
+        vals = critical_valuation(pot, pts)
+        assert np.abs(vals - want).max() <= 1e-8
 
 
 def test_tracker_gives_up_below_its_smallest_step(monkeypatch):
-    # a corrector that never converges halves h until it is below the floor
+    # a corrector that never converges halves every row's h until it is
+    # below the floor; the first row is named
     monkeypatch.setattr(potential, "TRACK_MAXIT", 0)
     pot = pot_f3()
+    pts = critical_points(pot, np.exp(-1.0))
     stats = {}
-    with pytest.raises(RuntimeError, match="continuation lost the branch"):
-        critical_valuation(pot, critical_points(pot, np.exp(-1.0)), stats=stats)
+    with pytest.raises(RuntimeError, match="continuation lost the branch of row 0 at -1,"):
+        critical_valuation(pot, pts, stats=stats)
     halvings = int(np.floor(np.log2(TRACK_FIRST_STEP / TRACK_MIN_STEP)))
-    assert stats["steps"] == stats["rejected"] == halvings + 1
-    assert stats["accepted"] == stats["collisions"] == 0
+    assert stats["steps"] == stats["rejected"] == len(pts) * (halvings + 1)
 
 
 def test_tracker_names_where_it_lost_the_branch():
     # at (6,3,-1,-5) two branches leave the torus at T = 1/4, and the
-    # tracker stalls just before log T = -ln 4
+    # tracker stalls just before log T = -ln 4 on a row that, tracked
+    # alone, stalls there too
     pot = build_potential(build_polytope(FlagType.full(4), [6, 3, -1, -5]))
     T = np.exp(-1.0)
-    with pytest.raises(RuntimeError, match="continuation lost the branch at log T = ") as lost:
-        critical_valuation(pot, critical_points(pot, T) + [positive_real_minimum(pot, T)])
-    logT, h = map(float, re.search(r"log T = (\S+), step h = (\S+)$", str(lost.value)).groups())
+    pts = critical_points(pot, T) + [positive_real_minimum(pot, T)]
+    pattern = r"of row (\d+) at (\S+), step h = (\S+)$"
+    with pytest.raises(RuntimeError, match="continuation lost the branch of row ") as lost:
+        critical_valuation(pot, pts)
+    row, logT, h = re.search(pattern, str(lost.value)).groups()
+    row, logT, h = int(row), float(logT), float(h)
     assert abs(logT + np.log(4)) <= 1e-2 and 0 < h < TRACK_MIN_STEP
+    with pytest.raises(RuntimeError, match="continuation lost the branch of row 0 ") as alone:
+        critical_valuation(pot, pts[row])
+    assert abs(float(re.search(pattern, str(alone.value)).group(2)) - logT) <= 1e-4
+
+
+def test_valuation_refuses_branches_that_meet(monkeypatch):
+    # a faulty tracker that carries branch 1 onto branch 0
+    pot, pts, _ = continued(*VALUATION_CASES[3])
+    track = potential._track
+
+    def faulty(*args):
+        ends = track(*args)
+        ends[-1, 1] = ends[-1, 0]
+        return ends
+
+    monkeypatch.setattr(potential, "_track", faulty)
+    with pytest.raises(RuntimeError, match="two branches met at T = 0.0001"):
+        critical_valuation(pot, pts)
+
+
+@pytest.mark.parametrize("case", [VALUATION_CASES[3], JUMP_CASE], ids=["f4", "jump"])
+def test_tracker_moves_each_row_on_its_own(case):
+    # each row tracked alone ends where it ends among all the rows, to
+    # rounding (a batch of another size rounds differently in BLAS), and
+    # its steps and rejections add up to the joint run's
+    pot, pts, _ = continued(*case)
+    S = np.log(np.array([p.y for p in pts]))
+    args = np.log(pts[0].T), np.log(VALUATION_LADDER), potential.VALUATION_TOL, 1
+    joint = dict(steps=0, rejected=0)
+    want = potential._track(pot, S, *args, joint)
+    alone = dict(steps=0, rejected=0)
+    for b in range(len(S)):
+        got = potential._track(pot, S[b : b + 1], *args, alone)
+        assert np.abs(got[:, 0] - want[:, b]).max() <= 1e-13
+    assert alone == joint
 
 
 @pytest.mark.parametrize(
-    "case,steps,rejected", [(VALUATION_CASES[3], 11, 0), (JUMP_CASE, 16, 1)], ids=["f4", "jump"]
+    "case,steps,rejected", [(VALUATION_CASES[3], 184, 20), (JUMP_CASE, 936, 134)], ids=["f4", "jump"]
 )
 def test_tracker_step_counts_are_pinned(case, steps, rejected):
-    # the corrector tests a row after each of its TRACK_MAXIT steps, the
-    # last one included; without that test the counts rise to 17 and 23
+    # steps and rejections summed over the rows, 25 and 121 of them; the
+    # corrector tests a row after each of its TRACK_MAXIT steps, the last
+    # one included
     pot, pts, _ = continued(*case)
     stats = {}
     critical_valuation(pot, pts, stats=stats)
-    assert (stats["steps"], stats["rejected"], stats["collisions"]) == (steps, rejected, 0)
+    assert (stats["steps"], stats["rejected"]) == (steps, rejected)
 
 
 def test_blocked_tracker_matches_one_block(monkeypatch):
@@ -739,6 +784,15 @@ def test_valuations_continue_every_branch_at_n6_anticanonical():
     vals = critical_valuation(pot, critical_points(pot, T) + [positive_real_minimum(pot, T)])
     reflexive, centre = is_reflexive(poly)
     assert reflexive and np.abs(vals[-1] - np.array(centre, dtype=float)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("T", [VALUATION_LADDER[0], 0.005, 1e-5])
+def test_valuations_from_T_at_or_below_the_ladder(T):
+    # a row that starts on a T of the ladder lands there without a step,
+    # and one that starts below a T of the ladder is tracked up to it
+    pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
+    pts = critical_points(pot, T) + [positive_real_minimum(pot, T)]
+    assert np.abs(critical_valuation(pot, pts) - ladder_valuations(pot, pts)).max() <= 1e-8
 
 
 def test_valuation_refuses_mixed_T():

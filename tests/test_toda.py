@@ -326,8 +326,16 @@ def test_toda_route_at_7_3_1_0_m2_m9_finds_all_720_points_at_every_seed():
         assert within(Y, sets[0]).all()
 
 
+@pytest.mark.parametrize("lam,steps,rejected", [((5, 2, 0, -4), 176, 46), ((7, 3, 0, -2, -8), 1831, 558)])
+def test_homotopy_step_counts_are_pinned(lam, steps, rejected):
+    # the path steps and rejections summed over the n! paths, at the first gamma
+    stats = {}
+    toda_solutions(lam, np.exp(-1.0), stats=stats)
+    assert (stats["homotopy_steps"], stats["homotopy_rejected"]) == (steps, rejected)
+
+
 def test_homotopy_gives_up_after_its_gammas(monkeypatch):
-    monkeypatch.setattr(potential, "HOMOTOPY_MIN_STEP", 1.0)  # every path is lost at once
+    monkeypatch.setattr(potential, "TRACK_MIN_STEP", 1.0)  # every path is lost at once
     with pytest.raises(RuntimeError, match="homotopy lost a path, or two paths met, at each of 3 gammas"):
         toda_solutions((2, 0, -2), np.exp(-1.0))
 
@@ -338,18 +346,18 @@ def test_homotopy_tracks_again_with_the_next_gamma(monkeypatch, fault):
     # round again with the next gamma of random.Random(seed)
     lam, T = (5, 2, 0, -4), np.exp(-1.0)
     want = toda_solutions(lam, T)
-    paths, gammas = toda._paths, []
+    track, gammas = potential._track, []
 
-    def faulty(homotopy, Z, counts):
+    def faulty(homotopy, *args):
         gammas.append(homotopy.gamma)
-        ends = paths(homotopy, Z, counts)
+        ends = track(homotopy, *args)
         if len(gammas) == 1:
             if fault == "lost":
-                return None
-            ends[1] = ends[0]
+                raise RuntimeError("continuation lost the branch")
+            ends[0, 1] = ends[0, 0]
         return ends
 
-    monkeypatch.setattr(toda, "_paths", faulty)
+    monkeypatch.setattr(potential, "_track", faulty)
     got = toda_solutions(lam, T)
     assert len(gammas) == 2 and gammas[0] != gammas[1]
     assert within(got, want).all() and len(got) == len(want) == 24
