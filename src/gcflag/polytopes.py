@@ -7,12 +7,13 @@ rationals: facet irredundancy, vertex enumeration, volumes, reflexivity and
 the unimodularity check for simplicial cones are integer/rational statements
 and are decided without floating point.
 
+The facets are decided from the pattern order, with no vertex (_is_facet).
 Every facet normal is e_a - e_b or +-e_a, an equality between two adjacent
 pattern entries, so a set of normals is a graph on the free entries plus
 one ground node for all lambda values, and its rank is the size of a
 spanning forest (_join).  That one union-find decides which patterns are
-vertices, which inequalities are facets, the dimension of every face, and
-the reflexive centre.  Vertices come from one pass that fills
+vertices, the dimension of every face, and the reflexive centre.
+Vertices are enumerated only when read, by one pass that fills
 lambda-valued patterns row by row, on the ranks of lambda's values, and
 drops a branch once a component of the row above reaches neither a lambda
 value nor the new row: facets join adjacent rows only, so nothing further
@@ -141,10 +142,15 @@ class GCPolytope(namedtuple("GCPolytope", "flag lam coords facets")):
         return A, b
 
     def interior_point(self):
-        """Barycenter of the vertex set (interior for full-dimensional polytopes)."""
-        verts = [v for v, _ in self.vertices()]
-        m = len(verts)
-        return tuple(sum(col) / m for col in zip(*verts))
+        """The pattern whose entry (k, i) is the mean of lambda_i, ...,
+        lambda_{i+n-k}, the values it lies between, in Fractions.  It is
+        strictly inside every facet.  The entry (k, i) of a facet's pair is
+        free, and its window is that of its neighbour in row k + 1 plus one
+        more value, smaller for the upper-left neighbour and larger for the
+        lower-right one, which moves the mean strictly as the window is not
+        constant."""
+        n, lam = self.flag.n, self.lam
+        return tuple(sum(lam[i - 1 : i + n - k]) / (n - k + 1) for k, i in self.coords)
 
     # -- vertices (cached) ------------------------------------------------
 
@@ -268,68 +274,65 @@ def _cell(flag, pos):
 # construction
 
 
-def build_polytope(flag, lam):
-    """Build the irredundant facet description of the Gelfand-Cetlin polytope.
-
-    One inequality is generated per adjacent pattern pair; constant-constant
-    pairs are dropped.  No two candidates coincide: a normal e_a - e_b names
-    its pair, and of the two entries bounding a free entry from one side at
-    most one is pinned (both would pin it too).  Candidate j is kept iff its
-    face is (N-1)-dimensional: the normals tight at every vertex of the face
-    are its implicit equalities, so j is a facet iff those normals have rank
-    1 (_join).  The vertices are those of the polytope cut out by all
-    candidates, found once and handed to the polytope returned, whose coords
-    are always free_positions(flag): gc_map, the moment maps and the Toda
-    layer read that order.
-    """
-    lam = validate_lambda(flag, lam)
-    coords = free_positions(flag)
-    index = {pos: a for a, pos in enumerate(coords)}
-    N = len(coords)
-    if N < 1:
-        raise ValueError("polytope must be at least one-dimensional")
-    n = flag.n
+def _candidates(flag, lam):
+    """One Facet per adjacent pattern pair, upper >= lower, rows top-down
+    and each entry's upper-left pair first; constant-constant pairs are
+    dropped.  No two candidates coincide: a normal e_a - e_b names its
+    pair, and of the two entries bounding a free entry from one side at
+    most one is pinned (both would pin it too)."""
+    index = {pos: a for a, pos in enumerate(free_positions(flag))}
     d = flag.dims
-
-    candidates = []
-    for k in range(n - 1, 0, -1):
+    for k in range(flag.n - 1, 0, -1):
         for i in range(1, k + 1):
             for upper, lower in (((k + 1, i), (k, i)), ((k, i), (k + 1, i + 1))):
                 if is_pinned(flag, *upper) and is_pinned(flag, *lower):
                     continue
-                v = [0] * N
+                v = [0] * len(index)
                 tau_blocks = [0] * (flag.r + 1)  # ell = <v, u> - tau: a pinned entry moves to tau
                 for pos, sgn in ((upper, 1), (lower, -1)):
                     if is_pinned(flag, *pos):
                         tau_blocks[flag.block_of(pos[1]) - 1] -= sgn
                     else:
                         v[index[pos]] += sgn
-                tau_blocks = tuple(tau_blocks)
-                tau = sum(
-                    Fraction(c) * lam[d[l + 1] - 1] for l, c in enumerate(tau_blocks)
-                )
-                candidates.append(
-                    Facet(v=tuple(v), tau=tau, tau_blocks=tau_blocks, pair=(upper, lower))
-                )
+                tau = sum(Fraction(c) * lam[d[l + 1] - 1] for l, c in enumerate(tau_blocks))
+                yield Facet(v=tuple(v), tau=tau, tau_blocks=tuple(tau_blocks), pair=(upper, lower))
 
-    provisional = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(candidates))
-    verts = provisional.vertices()
-    ends = provisional._facet_ends
-    # on_face[j]: the candidates tight at every vertex of candidate j's face
-    on_face = {}
-    for _, act in verts:
-        for j in act:
-            on_face[j] = on_face.get(j, act) & act
-    kept = [j for j, face in sorted(on_face.items()) if len(_join(ends[i] for i in face)) == 1]
-    poly = GCPolytope(flag=flag, lam=lam, coords=coords, facets=tuple(candidates[j] for j in kept))
-    # the facets cut out the same polytope as all candidates, so the vertices
-    # are the same; only the active sets are renumbered to the kept facets,
-    # in place, so the old and new sets are never all held at once
-    renumber = {j: k for k, j in enumerate(kept)}
-    for i, (u, act) in enumerate(verts):
-        verts[i] = u, frozenset(renumber[j] for j in act if j in renumber)
-    poly.__dict__["_vertices"] = verts
-    return poly
+
+def _is_facet(flag, pair):
+    """Whether the candidate on the pattern pair (upper, lower) is a facet.
+
+    The polytope is a marked order polytope, so a candidate is a facet iff
+    no other chain of interlacing inequalities and lambda values implies
+    it (Ardila, Bliem & Salazar, JCTA 118, 2011; Pegel, Order 35, 2018).
+    The pair is a free entry x = (k, i) and p = (k + 1, j) in the row
+    above (the entries below a free entry are free).  Take p >= x, j = i;
+    p <= x is the mirror image.  Another chain reaches x through its other
+    upper neighbour y = (k - 1, i - 1), which the order does not compare
+    with p, so it needs a lambda value c with min p >= c >= max y, that is
+    lambda_{i+n-k-1} >= c >= lambda_{i-1}.  That holds iff the twin
+    t = (k, i - 1), p's other neighbour in row k, is pinned, and then
+    t >= y >= x is the chain.  So the candidate is a facet iff its twin
+    (k, 2j - 1 - i) is free or absent.
+    """
+    (k, i), (_, j) = sorted(pair)
+    twin = 2 * j - 1 - i
+    return not (1 <= twin <= k and is_pinned(flag, k, twin))
+
+
+def build_polytope(flag, lam):
+    """Build the irredundant facet description of the Gelfand-Cetlin polytope.
+
+    The facets are the candidates (_candidates) that _is_facet keeps,
+    decided from the pattern order alone, in candidate order; no vertex is
+    enumerated.  The coords are always free_positions(flag): gc_map, the
+    moment maps and the Toda layer read that order.
+    """
+    lam = validate_lambda(flag, lam)
+    coords = free_positions(flag)
+    if not coords:
+        raise ValueError("polytope must be at least one-dimensional")
+    facets = tuple(f for f in _candidates(flag, lam) if _is_facet(flag, f.pair))
+    return GCPolytope(flag=flag, lam=lam, coords=coords, facets=facets)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ are found at a fixed numeric Novikov parameter T in (0, 1) by damped
 Newton iteration in logarithmic coordinates.  On a full flag its starts
 are the n! points of the Toda level set D = 0, from one homotopy, lifted
 to the GC chart (toda.toda_solutions, toda.toda_lift).
-On a partial flag they are a deterministic grid (vertices and barycenter
-of the polytope, with sixth-root phases drawn from random.Random(seed)
+On a partial flag they are a deterministic grid (vertices and interior
+point of the polytope, with sixth-root phases drawn from random.Random(seed)
 when the grid is large) that joins one phase draw per iteration.
 Valuations are estimated by continuing every branch to small T, each on
 its own steps in log T of _track, the one adaptive predictor-corrector
@@ -301,7 +301,7 @@ def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, ma
 
 def _start_grid(pot, T, seed=0, max_starts=MAX_STARTS):
     """Deterministic starts, a (B, N) array: magnitudes T^u over the
-    barycenter and the vertices of the polytope, sixth-root phases.
+    interior point and the vertices of the polytope, sixth-root phases.
     Subsampled reproducibly when the full grid is too large: fewer phases
     per magnitude, drawn from random.Random(seed), and past max_starts
     magnitudes one start each at an even stride over the whole list.
@@ -404,7 +404,7 @@ def grid_critical_points(pot, T, seed=0, stats=None):
     flags the oracle of the Toda route, since it never reads D = 0.
 
     The starts join Newton one phase draw per iteration: draw d of the
-    barycenter and of every vertex, so each block covers the whole
+    interior point and of every vertex, so each block covers the whole
     polytope.  The starts that converge in an iteration are filtered right
     away, in row order: the magnitude box, the drift check and the dedup.
     Newton stops as soon as it holds cohomology_rank(pot.flag) distinct
@@ -417,8 +417,8 @@ def grid_critical_points(pot, T, seed=0, stats=None):
     Hessian stopped Newton), not_converged (no convergence in
     NEWTON_MAXIT steps), unfinished (still running, or not yet joined,
     when the rank was reached), outside_box, drifting (the Newton step at
-    the limit exceeds DRIFT_TOL, or cannot be solved) and duplicate;
-    points is the number returned.  Those seven counts add up to starts.
+    the limit exceeds DRIFT_TOL, or cannot be solved) and duplicate (a
+    point found, or one past the rank); points is the number returned.  Those seven counts add up to starts.
     It also receives the Newton work: row_steps, the rows evaluated
     summed over iterations, widest, the most rows active in one
     iteration, and longest, the most steps one row took.
@@ -434,7 +434,7 @@ def grid_critical_points(pot, T, seed=0, stats=None):
     box = verts.max(axis=0) * logT - slack, verts.min(axis=0) * logT + slack  # logT < 0 flips the range
     starts = _start_grid(pot, T, seed=seed)
     # one block per phase draw: as many rows as magnitudes, which are the
-    # barycenter and the vertices, or one row each past MAX_STARTS
+    # interior point and the vertices, or one row each past MAX_STARTS
     return _polish(pot, starts, T, logT, box=box, width=min(len(verts) + 1, len(starts)), stats=stats)
 
 
@@ -463,10 +463,10 @@ def _polish(pot, starts, T, logT, box=None, width=None, stats=None):
         rejected["drifting"] += int((~steady).sum())
         rows = rows[steady]
         # one comparison with the points already found, then the dedup of
-        # the rest one by one
+        # the rest one by one, up to the rank
         for row in rows[~_same(np.exp(S[rows]), Y).any(axis=1)]:
             y = np.exp(S[row])
-            if not _same(y[None], Y).any():
+            if len(found) < rank and not _same(y[None], Y).any():
                 found.append(row)
                 Y = np.vstack([Y, y])
         return len(found) >= rank
@@ -623,7 +623,7 @@ def critical_valuation(pot, points, stats=None):
 
 def positive_real_minimum(pot, T):
     """The critical point in the positive orthant, where W is convex in log
-    coordinates: one real row of _newton from the barycenter, to MINIMUM_TOL.
+    coordinates: one real row of _newton from the interior point, to MINIMUM_TOL.
     Raises RuntimeError if it does not converge.  Like critical_points it
     sets no valuation; critical_valuation does."""
     logT = _log_T(T)

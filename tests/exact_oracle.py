@@ -5,6 +5,8 @@ triangulation with a determinant per simplex (volume_of), and the vertex
 decision on every lambda-valued pattern (pattern_vertices).  The library
 answers these questions combinatorially from the pattern graph; these are
 the direct computations, slow but independent of that argument.  The
+facets (vertex_facets) are decided on the vertices of the polytope that
+every candidate inequality cuts out, not on the pattern order.  The
 interior lattice points (interior_lattice_points) are found by a scan
 over every lattice point.  The numeric references: ladder_valuations
 continues critical points in T by the batched Newton on a fixed fine
@@ -21,7 +23,7 @@ from math import factorial
 import numpy as np
 
 from gcflag.exactla import det, to_fraction
-from gcflag.polytopes import lattice_points
+from gcflag.polytopes import GCPolytope, _candidates, free_positions, lattice_points, validate_lambda
 from gcflag.potential import DEDUP_TOL, VALUATION_LADDER, VALUATION_TOL, _newton
 
 
@@ -104,6 +106,22 @@ def pattern_vertices(poly):
         if rank([poly.facets[j].v for j in tight]) == poly.N:
             out.append((u, tight))
     return sorted(out)
+
+
+def vertex_facets(flag, lam):
+    """The facets of the polytope cut out by every candidate inequality
+    (polytopes._candidates), in candidate order.  Candidate j is a facet iff
+    its face is (N - 1)-dimensional: the normals tight at every vertex of
+    the face are its implicit equalities, so iff those normals have rank 1."""
+    lam = validate_lambda(flag, lam)
+    candidates = tuple(_candidates(flag, lam))
+    on_face = {}  # candidate j -> the candidates tight at every vertex of its face
+    for _, act in GCPolytope(flag, lam, free_positions(flag), candidates).vertices():
+        for j in act:
+            on_face[j] = on_face.get(j, act) & act
+    return tuple(
+        candidates[j] for j, face in sorted(on_face.items()) if rank([candidates[i].v for i in face]) == 1
+    )
 
 
 def volume_of(points, facet_sets):

@@ -11,12 +11,14 @@ from exact_oracle import (
     pattern_vertices,
     rank,
     solve,
+    vertex_facets,
     volume_of,
 )
 from gcflag.criteria import FIXED_CASES, POLYTOPE_CASES
 from gcflag.exactla import det
 from gcflag.flags import FlagType, anticanonical_lambda, dimension
 from gcflag import polytopes
+from gcflag.cli import main
 from gcflag.polytopes import (
     GCPolytope,
     build_polytope,
@@ -175,11 +177,60 @@ def test_vertices_and_facets_against_oracle(flag, lam):
         assert affine_dim([v for v, act in oracle if j in act]) == poly.N - 1
 
 
+# every flag type with n <= 6, each at its anticanonical weight and at a
+# rational weight with uneven gaps
+ALL_TYPES_6 = [FlagType(n, steps) for n in range(2, 7) for r in range(1, n) for steps in combinations(range(1, n), r)]
+
+
+def rational_lambda(flag):
+    values = [Fraction((flag.r + 1 - b) ** 2, 3) for b in range(flag.r + 1)]
+    return tuple(values[flag.block_of(i) - 1] for i in range(1, flag.n + 1))
+
+
+@pytest.mark.parametrize("flag", ALL_TYPES_6, ids=str)
+def test_facets_match_vertex_oracle(flag):
+    # the pattern-order rule keeps exactly the candidates whose face on the
+    # vertices of all candidates is a facet, in the same order
+    for lam in (anticanonical_lambda(flag), rational_lambda(flag)):
+        assert build_polytope(flag, lam).facets == vertex_facets(flag, lam)
+
+
+@pytest.mark.parametrize("flag", ALL_TYPES_6, ids=str)
+def test_interior_point_strictly_inside(flag):
+    for lam in (anticanonical_lambda(flag), rational_lambda(flag)):
+        poly = build_polytope(flag, lam)
+        assert poly.contains(poly.interior_point(), strict=True)
+
+
+def test_build_and_potential_enumerate_no_vertex(monkeypatch, capsys):
+    # the facets come from the pattern order alone, so building a polytope
+    # and printing its potential never run the vertex pass
+    def no_vertices(self):
+        raise AssertionError("vertices enumerated")
+
+    monkeypatch.setattr(GCPolytope, "_vertices", property(no_vertices))
+    fl = FlagType.full(7)
+    assert len(build_polytope(fl, anticanonical_lambda(fl)).facets) == 42
+    # the potential-ladder inputs of the benchmark
+    for flag, lam in [
+        ("1,2,3,4|5", "4,2,0,-2,-4"),
+        ("1,2,3,4|5", "7,3,0,-2,-8"),
+        ("1,2,4|5", None),
+        ("1,3,4|5", None),
+        ("2,3|5", None),
+    ]:
+        lam = lam or ",".join(map(str, anticanonical_lambda(FlagType.parse(flag))))
+        assert main(["potential", "--flag", flag, "--lambda", lam]) == 0
+        assert json.loads(capsys.readouterr().out)["terms"]
+
+
 @pytest.mark.parametrize("flag,lam", VERTEX_ORACLE_CASES)
 def test_union_find_rank_matches_oracle(flag, lam, monkeypatch):
-    # every set of normals whose rank build_polytope decides, in the vertex
-    # row pass (an entry of the row above stands for its component) and for
-    # its facets, has union-find rank = the exact rank
+    # every set of normals whose rank the vertex row pass decides (an entry
+    # of the row above stands for its component) has union-find rank = the
+    # exact rank
+    fl = FlagType.parse(flag)
+    poly = build_polytope(fl, lam or anticanonical_lambda(fl))
     seen = []
     join = polytopes._join
 
@@ -192,8 +243,7 @@ def test_union_find_rank_matches_oracle(flag, lam, monkeypatch):
         return forest
 
     monkeypatch.setattr(polytopes, "_join", recording)
-    fl = FlagType.parse(flag)
-    poly = build_polytope(fl, lam or anticanonical_lambda(fl))
+    poly.vertices()
     index = {pos: a for a, pos in enumerate(poly.coords)}
 
     def normal(upper, lower):
@@ -221,12 +271,10 @@ def test_union_find_rank_matches_oracle(flag, lam, monkeypatch):
 def test_vertices_match_pattern_rank_oracle(flag, lam):
     # every lambda-valued pattern is a vertex iff its tight normals have rank N
     poly = build_polytope(flag, lam or anticanonical_lambda(flag))
+    # build_polytope decides the facets without the vertices: it leaves
+    # them to the first call of vertices()
+    assert "_vertices" not in vars(poly)
     assert poly.vertices() == pattern_vertices(poly)
-    # build_polytope hands over the vertices of all candidates; a fresh pass
-    # over the kept facets gives the same list
-    fresh = GCPolytope(poly.flag, poly.lam, poly.coords, poly.facets)
-    assert "_vertices" not in vars(fresh)
-    assert poly.vertices() == fresh.vertices()
 
 
 def test_vertices_full6_counts():

@@ -8,11 +8,12 @@ from exact_oracle import apart_at_once, ladder_valuations, lstsq_fit, near_relat
 
 from gcflag.cli import main
 from gcflag.flags import FlagType, anticanonical_lambda
-from gcflag.polytopes import build_polytope, is_reflexive
+from gcflag.polytopes import GCPolytope, build_polytope, is_reflexive
 from gcflag import potential
 from gcflag.potential import (
     DEDUP_TOL,
     DRIFT_TOL,
+    INTERIOR_TOL,
     MINIMUM_TOL,
     NEWTON_MAXIT,
     NEWTON_TOL,
@@ -213,7 +214,7 @@ def test_solve_rows_masks_on_the_slogdet_sign():
         assert np.array_equal(X[b], np.linalg.solve(H[b], G[b]))
 
 
-def test_start_grid_from_vertices_and_barycenter():
+def test_start_grid_from_vertices_and_interior_point():
     pot = pot_f3()
     T = np.exp(-1.0)
     starts = _start_grid(pot, T)
@@ -245,7 +246,7 @@ def test_start_grid_cap_strides_over_every_vertex():
     ids=["f3-drawn-phases", "gr13-every-phase"],
 )
 def test_start_grid_stages_cover_every_magnitude(pot):
-    # block d of the grid is phase draw d of the barycenter and of every vertex
+    # block d of the grid is phase draw d of the interior point and of every vertex
     T = np.exp(-1.0)
     starts = _start_grid(pot, T)
     mags = np.array([pot.poly.interior_point()] + [v for v, _ in pot.poly.vertices()], dtype=float)
@@ -283,6 +284,16 @@ def test_critical_points_stop_at_the_cohomology_rank():
     stats = {}
     assert len(grid_critical_points(pot_g24(), np.exp(-1.0), stats=stats)) == 4
     assert stats["unfinished"] == 0 and stats["not_converged"] > 0
+
+
+def test_grid_admits_no_point_past_the_rank():
+    # the iteration that reaches the rank here converges more distinct rows
+    # than it needs; the rows past the rank count as duplicates
+    pot = build_potential(build_polytope(FlagType.full(4), [7, 5, -6, -7]))
+    stats = {}
+    assert len(grid_critical_points(pot, 0.1, stats=stats)) == 24
+    rejected = ("singular", "not_converged", "unfinished", "outside_box", "drifting", "duplicate")
+    assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
 
 
 @pytest.mark.parametrize(
@@ -474,6 +485,22 @@ def test_staged_critical_points_skip_starts_the_rank_stop_never_needs():
     stats = {}
     assert len(grid_critical_points(pot, np.exp(-1.0), stats=stats)) == 24
     assert stats["row_steps"] < 15169 / 2 and stats["widest"] < stats["starts"] == 1476
+
+
+def test_full_flag_points_and_minimum_enumerate_no_vertex(monkeypatch):
+    # the Toda route and the positive minimum read no vertex: the minimum
+    # starts from the closed-form interior point, so n = 7 stays cheap
+    def no_vertices(self):
+        raise AssertionError("vertices enumerated")
+
+    monkeypatch.setattr(GCPolytope, "_vertices", property(no_vertices))
+    pot = build_potential(build_polytope(FlagType.full(4), [5, 2, 0, -4]))
+    assert len(critical_points(pot, np.exp(-1.0))) == 24
+    pot = build_potential(build_polytope(FlagType.full(7), [9, 5, 2, 0, -1, -4, -11]))
+    p = positive_real_minimum(pot, np.exp(-1.0))
+    assert p.residual <= 1e-10 and (p.y.real > 0).all()
+    val = critical_valuation(pot, p)
+    assert pot.poly.contains_float(val, INTERIOR_TOL)
 
 
 def test_drift_check_rejects_flat_valley_rows():
