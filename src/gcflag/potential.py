@@ -7,14 +7,14 @@ prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
 Newton iteration in logarithmic coordinates.  On a full flag its starts
 are the n! points of the Toda level set D = 0, from one homotopy, lifted
-to the GC chart (toda.toda_solutions, toda.toda_lift).
-On a partial flag they are a deterministic grid (vertices and interior
-point of the polytope, with sixth-root phases drawn from random.Random(seed)
-when the grid is large) that joins one phase draw per iteration.
-Valuations are estimated by continuing every branch to small T, each on
-its own steps in log T of _track, the one adaptive predictor-corrector
-(it also carries the Toda homotopy), whose predictor is exact where
-log y = u log T + c, and fitting the slope of log|y_k| against log T.
+to the GC chart (toda.toda_solutions, toda.toda_lift); on a partial flag
+a deterministic grid (vertices and interior point of the polytope,
+sixth-root phases from random.Random(seed) when the grid is large) that
+joins one phase draw per iteration.  Valuations are estimated by
+continuing every branch to small T on _track, the one adaptive
+predictor-corrector (it also carries the Toda homotopy), and fitting the
+slope of log|y_k| against log T.  A real path that fails (a branch
+meets a pole, no homotopy finishes) goes round in complex log T.
 """
 
 import random
@@ -157,6 +157,7 @@ CRITICAL_TOL = 1e-8  # hessian_nondegenerate takes y as critical below this
 MINIMUM_TOL = 1e-13  # the Newton tolerance of positive_real_minimum
 INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 1e-6 inside every facet
 ROW_BLOCK = 256  # _solve_blocks and _same work on at most this many rows at once
+DETOUR = 1.0  # a path that goes round the real axis from log T = a to b passes (a + b) / 2 + i DETOUR
 HOMOTOPY_TOL = 1e-6  # the Toda homotopy's corrector stops for t > 0 at a Newton step this small relative to the point
 HOMOTOPY_GAMMAS = 3  # the Toda homotopy tracks its paths again with a new gamma up to this many times in all
 TORUS_TOL = 1e-11  # toda_lift: an entry whose defining sum cancels to this fraction of its terms is zero
@@ -363,10 +364,10 @@ def critical_points(pot, T, seed=0, stats=None):
     picks), lifted to the GC chart (toda.toda_lift).  A point of D = 0
     whose lift has no zero entry is a critical point, and every critical
     point in the torus is one; the others lie outside the torus and are
-    dropped.  If the homotopy fails (RuntimeError: a path lost, or two
-    paths met, at every gamma it tries), the full flag takes the grid
-    route.  On a partial flag the starts are the multi-start grid of
-    grid_critical_points, whose phases seed draws.
+    dropped.  If the homotopy fails at T (RuntimeError), it runs at T0 =
+    exp(-1 / max gap of lam), where every coupling lies in [1/e, 1), and
+    _track carries the torus points to T round the real axis.  On a
+    partial flag the starts are the grid of grid_critical_points.
     Either way _newton polishes the starts, the drift check and the dedup
     filter them as they converge, and Newton stops at
     cohomology_rank(pot.flag) distinct points.
@@ -376,7 +377,8 @@ def critical_points(pot, T, seed=0, stats=None):
     is no magnitude box: outside_box gives way to outside_torus, the paths
     whose lift has a zero entry.  paths, homotopy_steps and
     homotopy_rejected count the paths and their steps and rejections,
-    summed over the paths.
+    summed over the paths; carry_steps and carry_rejected those of the
+    carry from T0, both 0 when the homotopy ran at T.
     """
     if not pot.flag.is_full():
         return grid_critical_points(pot, T, seed=seed, stats=stats)
@@ -384,17 +386,22 @@ def critical_points(pot, T, seed=0, stats=None):
 
     logT = _log_T(T)
     lam = [float(x) for x in pot.lam]
-    homotopy = {}
+    homotopy, carry, T0 = {}, dict(steps=0, rejected=0), T
     try:
-        p = toda_solutions(lam, T, seed=seed, stats=homotopy)
+        p = toda_solutions(lam, T0, seed=seed, stats=homotopy)
     except RuntimeError:
-        # paths into clusters of nearly equal solutions, where couplings
-        # differ by many orders, that no gamma finishes: the grid instead
-        return grid_critical_points(pot, T, seed=seed, stats=stats)
-    S, inside = toda_lift(p, lam, T)
-    points = _polish(pot, S[inside], T, logT, stats=stats)
+        # couplings many orders apart, whose clustered paths no gamma finishes
+        T0 = np.exp(-1 / max(-np.diff(lam)))
+        p = toda_solutions(lam, T0, seed=seed, stats=homotopy)
+    S, inside = toda_lift(p, lam, T0)
+    S = S[inside]
+    if T0 != T:
+        a = np.log(T0)
+        S = _track(pot, S, a, [(a + logT) / 2 + 1j * DETOUR, logT], VALUATION_TOL, 1, carry)[-1]
+    points = _polish(pot, S, T, logT, stats=stats)
     if stats is not None:
-        stats.update(starts=len(S), outside_torus=int((~inside).sum()), **homotopy)
+        stats.update(starts=len(inside), outside_torus=int((~inside).sum()), **homotopy)
+        stats.update(carry_steps=carry["steps"], carry_rejected=carry["rejected"])
     return points
 
 
@@ -519,21 +526,21 @@ def _track(system, S, at, targets, tol, min_steps, stats):
     halved, where the corrector fails, moves the row more than
     CORRECTION_RATIO times its predicted move, or leaves no tangent; h
     doubles after a correction of at most TRACK_EASY times that move.
-    Steps are cut to land on each target, up or down, and a row already
-    on one lands without a step.  stats["steps"] and stats["rejected"]
-    count the row steps tried and rejected.  A row whose h falls below
-    TRACK_MIN_STEP has lost its branch: RuntimeError names the row, its
-    last accepted parameter and h.
+    Steps of h run straight toward each target, real or complex, landing
+    on it from within h; a row already on one lands without a step.
+    stats["steps"] and stats["rejected"] count the row steps tried and
+    rejected.  A row whose h falls below TRACK_MIN_STEP has lost its
+    branch: RuntimeError names the row, its last accepted parameter and h.
     """
     S = np.array(S, dtype=complex)
-    targets = np.asarray(targets, dtype=float)
-    at, h = np.full(len(S), float(at)), np.full(len(S), TRACK_FIRST_STEP)
+    targets = np.asarray(targets)
+    at, h = np.full(len(S), at, targets.dtype), np.full(len(S), TRACK_FIRST_STEP)
     goal = np.zeros(len(S), int)  # the index of each row's next target
     ends = np.empty((len(targets),) + S.shape, complex)
     dS, ok = system.tangent_rows(S, np.arange(len(S)), at)
     h[~ok] = 0.0  # a row without a tangent cannot move
     # each row's accepted point before its current one, for the cubic
-    at0, S0, dS0 = np.full(len(S), np.nan), S.copy(), dS.copy()
+    at0, S0, dS0 = np.full(len(S), np.nan, targets.dtype), S.copy(), dS.copy()
     active = np.arange(len(S))
     while True:
         landed = active[at[active] == targets[goal[active]]]
@@ -545,8 +552,11 @@ def _track(system, S, at, targets, tol, min_steps, stats):
         lost = active[h[active] < TRACK_MIN_STEP]
         if lost.size:
             row = lost[0]
-            raise RuntimeError("continuation lost the branch of row %d at %.6g, step h = %.3g" % (row, at[row], h[row]))
-        t = np.clip(targets[goal[active]], at[active] - h[active], at[active] + h[active])
+            raise RuntimeError("continuation lost the branch of row %d at %s, step h = %.3g" % (row, format(at[row], ".6g"), h[row]))
+        t = targets[goal[active]]
+        gap = t - at[active]
+        far = np.abs(gap) > h[active]
+        t[far] = at[active[far]] + h[active[far]] * (gap[far] / np.abs(gap[far]))
         predicted = S[active] + (t - at[active])[:, None] * dS[active]
         cubic = ~np.isnan(at0[active])
         two = active[cubic]
@@ -577,7 +587,8 @@ def critical_valuation(pot, points, stats=None):
 
     points is one CriticalPoint or a sequence of points that share their
     T.  _track continues each branch on its own steps from T through
-    VALUATION_LADDER, and log|y_k| is fit against log T.  The valuation
+    VALUATION_LADDER on the real axis or, if that loses a branch, round
+    it, and log|y_k| is fit against log T.  The valuation
     and the fit residual are stored on each point.  Returns the valuation
     vector of a single point, or a (len(points), N) array.  Raises
     RuntimeError if a branch is lost (the error names its row, its last
@@ -585,7 +596,7 @@ def critical_valuation(pot, points, stats=None):
     (_same) at a T of the ladder: one jumped onto the other.
 
     If stats is a dict it receives the tracker's steps and rejected,
-    summed over the branches.
+    summed over the branches and both paths.
     """
     single = isinstance(points, CriticalPoint)
     pts = [points] if single else list(points)
@@ -600,7 +611,13 @@ def critical_valuation(pot, points, stats=None):
     # at least one corrector step at every row: a predicted point that
     # already passed the residual test moved valuations at anticanonical
     # n = 6 by 8e-8, and carried (6,3,-1,-5) past its pole at log T = -ln 4
-    ends = _track(pot, np.log(Y), np.log(T), np.log(VALUATION_LADDER), VALUATION_TOL, 1, stats)
+    ladder = np.log(VALUATION_LADDER)
+    try:
+        ends = _track(pot, np.log(Y), np.log(T), ladder, VALUATION_TOL, 1, stats)
+    except RuntimeError:
+        # a branch met a pole on the real axis: go round it to the ladder
+        detour = [(np.log(T) + ladder[0]) / 2 + 1j * DETOUR, *ladder]
+        ends = _track(pot, np.log(Y), np.log(T), detour, VALUATION_TOL, 1, stats)[1:]
     distinct = ~_same(Y, Y)
     for ladder_T, end in zip(VALUATION_LADDER, np.exp(ends)):
         if (distinct & _same(end, end)).any():
@@ -608,8 +625,7 @@ def critical_valuation(pot, points, stats=None):
     samples = ends.real.reshape(len(VALUATION_LADDER), -1)
     # least squares of log|y| = slope log T + c over the ladder, in closed
     # form on the mean-centred log T and samples
-    x = np.log(VALUATION_LADDER)
-    x = x - x.mean()
+    x = ladder - ladder.mean()
     centred = samples - samples.mean(axis=0)
     slope = x @ centred / (x @ x)
     vals = slope.reshape(len(pts), pot.N)

@@ -258,8 +258,9 @@ def toda_solutions(lam, T, seed=0, stats=None):
     If a path is lost, or two paths end at one point (one jumped onto
     another), every path is tracked again with the next gamma that
     random.Random(seed) draws, up to HOMOTOPY_GAMMAS draws; then
-    RuntimeError.  stats, if a dict, receives paths, and the steps and
-    rejections summed over every path tracked."""
+    RuntimeError, and critical_points goes round the real axis to T from
+    balanced couplings.  stats, if a dict, receives paths, and the steps
+    and rejections summed over every path tracked."""
     from .potential import HOMOTOPY_GAMMAS, HOMOTOPY_TOL, NEWTON_TOL, _log_T, _newton, _track
 
     n = len(lam)

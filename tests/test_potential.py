@@ -21,10 +21,12 @@ from gcflag.potential import (
     TRACK_FIRST_STEP,
     TRACK_MIN_STEP,
     VALUATION_LADDER,
+    VALUATION_TOL,
     _newton,
     _order_key,
     _solve_rows,
     _start_grid,
+    _track,
     build_potential,
     cohomology_rank,
     critical_points,
@@ -694,55 +696,84 @@ def test_tracker_counts_every_step(monkeypatch):
     assert set(np.log(VALUATION_LADDER)) <= set(attempts)
 
 
+def real_track(pot, pts):
+    """_track from the points' T along the real ladder alone, as
+    critical_valuation first tracks them."""
+    S = np.log(np.array([p.y for p in pts], dtype=complex))
+    logT, ladder = np.log(pts[0].T), np.log(VALUATION_LADDER)
+    return _track(pot, S, logT, ladder, VALUATION_TOL, 1, dict(steps=0, rejected=0))
+
+
 @pytest.mark.parametrize("guard", ["collision", "correction"])
 def test_each_guard_alone_keeps_the_branches(monkeypatch, guard):
     # with the corrector's steps and step count uncapped, the first step at
     # (7,3,0,-2,-8) can converge with branches on others.  The correction
     # guard alone keeps every branch; with the collision test alone a
-    # branch runs off to overflow and is lost, and critical_valuation
-    # raises instead of returning wrong valuations
+    # branch runs off to overflow on the real axis and is lost there, not
+    # carried onto another, and the path round the real axis finishes
     pot, pts, want = continued(*JUMP_CASE)
     monkeypatch.setattr(potential, "TRACK_MAXIT", NEWTON_MAXIT)
     monkeypatch.setattr(potential, "STEP_CAP", 1e9)
     if guard == "collision":
         monkeypatch.setattr(potential, "CORRECTION_RATIO", np.inf)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="lost the branch"):
-            critical_valuation(pot, pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="lost the branch"):
+                real_track(pot, pts)
+            vals = critical_valuation(pot, pts)
     else:
         monkeypatch.setattr(potential, "_same", lambda A, Y: np.zeros((len(A), len(Y)), bool))
         vals = critical_valuation(pot, pts)
-        assert np.abs(vals - want).max() <= 1e-8
+    assert np.abs(vals - want).max() <= 1e-8
 
 
 def test_tracker_gives_up_below_its_smallest_step(monkeypatch):
     # a corrector that never converges halves every row's h until it is
-    # below the floor; the first row is named
-    monkeypatch.setattr(potential, "TRACK_MAXIT", 0)
+    # below the floor, on the real axis and then on the path round it; the
+    # first row is named at its complex log T.  The points come first: the
+    # Toda homotopy runs on the same tracker
     pot = pot_f3()
     pts = critical_points(pot, np.exp(-1.0))
+    monkeypatch.setattr(potential, "TRACK_MAXIT", 0)
     stats = {}
-    with pytest.raises(RuntimeError, match="continuation lost the branch of row 0 at -1,"):
+    with pytest.raises(RuntimeError, match=r"continuation lost the branch of row 0 at -1\+0j,"):
         critical_valuation(pot, pts, stats=stats)
     halvings = int(np.floor(np.log2(TRACK_FIRST_STEP / TRACK_MIN_STEP)))
-    assert stats["steps"] == stats["rejected"] == len(pts) * (halvings + 1)
+    assert stats["steps"] == stats["rejected"] == 2 * len(pts) * (halvings + 1)
 
 
 def test_tracker_names_where_it_lost_the_branch():
     # at (6,3,-1,-5) two branches leave the torus at T = 1/4, and the
-    # tracker stalls just before log T = -ln 4 on a row that, tracked
-    # alone, stalls there too
+    # tracker on the real axis stalls just before log T = -ln 4 on a row
+    # that, tracked alone, stalls there too
     pot = build_potential(build_polytope(FlagType.full(4), [6, 3, -1, -5]))
     T = np.exp(-1.0)
     pts = critical_points(pot, T) + [positive_real_minimum(pot, T)]
     pattern = r"of row (\d+) at (\S+), step h = (\S+)$"
     with pytest.raises(RuntimeError, match="continuation lost the branch of row ") as lost:
-        critical_valuation(pot, pts)
+        real_track(pot, pts)
     row, logT, h = re.search(pattern, str(lost.value)).groups()
     row, logT, h = int(row), float(logT), float(h)
     assert abs(logT + np.log(4)) <= 1e-2 and 0 < h < TRACK_MIN_STEP
     with pytest.raises(RuntimeError, match="continuation lost the branch of row 0 ") as alone:
-        critical_valuation(pot, pts[row])
+        real_track(pot, pts[row : row + 1])
     assert abs(float(re.search(pattern, str(alone.value)).group(2)) - logT) <= 1e-4
+
+
+def test_detours_either_side_of_the_real_axis_agree(monkeypatch):
+    # the pole at T = 1/4 of (6,3,-1,-5) has no monodromy: going round it
+    # above or below gives one valuation per branch
+    pot = build_potential(build_polytope(FlagType.full(4), [6, 3, -1, -5]))
+    T = np.exp(-1.0)
+    pts = critical_points(pot, T) + [positive_real_minimum(pot, T)]
+    stats = {}
+    above = critical_valuation(pot, pts, stats=stats)
+    monkeypatch.setattr(potential, "DETOUR", -1.0)
+    below = critical_valuation(pot, pts)
+    assert np.abs(above - below).max() <= 1e-8
+    assert pot.poly.contains_float(above[-1], tol=INTERIOR_TOL)
+    # both paths count: 356 row steps on the real axis, to the lost
+    # branch, and 216 round it
+    assert stats["steps"] == 572
 
 
 def test_valuation_refuses_branches_that_meet(monkeypatch):

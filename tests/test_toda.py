@@ -283,6 +283,7 @@ def test_toda_route_gives_one_set_at_every_seed(lam, seed):
     want = np.array([p.y for p in critical_points(pot, T)])
     assert len(got) == len(want) == (20 if lam == (3, 1, -1, -3) else factorial(len(lam)))
     assert stats["outside_torus"] == factorial(len(lam)) - len(want)
+    assert stats["carry_steps"] == stats["carry_rejected"] == 0  # the homotopy ran at T
     assert within(got, want).all()
 
 
@@ -369,14 +370,56 @@ def test_level_set_check_runs_on_the_grid_points(monkeypatch):
     assert len(level_set_check(full_pot((5, 2, 0, -4)))) == 24
 
 
-def test_full_flag_takes_the_grid_route_when_the_homotopy_fails(monkeypatch):
-    def fails(*args, **kwargs):
-        raise RuntimeError("homotopy lost a path, or two paths met, at each of 3 gammas")
+def refused(*args, **kwargs):
+    raise AssertionError("grid_critical_points called on a full flag")
 
-    monkeypatch.setattr(toda, "toda_solutions", fails)
-    pot = full_pot((5, 2, 0, -4))
-    stats, grid_stats = {}, {}
-    got = critical_points(pot, np.exp(-1.0), stats=stats)
-    want = grid_critical_points(pot, np.exp(-1.0), stats=grid_stats)
-    assert stats == grid_stats and "outside_torus" not in stats
-    assert [p.y.tolist() for p in got] == [p.y.tolist() for p in want]
+
+def test_full_flag_goes_round_when_the_homotopy_fails_at_T(monkeypatch):
+    # the homotopy fails at T only: critical_points solves at the balanced
+    # T0 = exp(-1/4) and carries the torus points round the real axis to T
+    pot, T = full_pot((5, 2, 0, -4)), np.exp(-1.0)
+    want = critical_points(pot, T)
+    solve = toda.toda_solutions
+
+    def fails_at_T(lam, at, **kwargs):
+        if at == T:
+            raise RuntimeError("homotopy lost a path, or two paths met, at each of 3 gammas")
+        return solve(lam, at, **kwargs)
+
+    monkeypatch.setattr(toda, "toda_solutions", fails_at_T)
+    monkeypatch.setattr(potential, "grid_critical_points", refused)
+    stats = {}
+    got = critical_points(pot, T, stats=stats)
+    assert len(got) == len(want) == 24
+    assert np.diag(_same(np.array([p.y for p in got]), np.array([p.y for p in want]))).all()
+    assert stats["outside_torus"] == 0 and stats["carry_steps"] > stats["carry_rejected"] > 0
+
+
+def test_couplings_far_apart_take_no_grid_at_any_seed(monkeypatch):
+    # (7,5,-6,-7) at T = 0.1: couplings 1e-1 to 1e-11.  At seed 2 no gamma
+    # finishes at T, and the points are carried from T0 = exp(-1/11).  The
+    # points are ill-conditioned here (sigma_min / sigma_max of the Hessian
+    # down to 3.4e-6), so the seeds' sets differ by up to 2.2e-8 relative,
+    # past DEDUP_TOL, with the homotopy at T alone (seeds 0, 1 and 3)
+    monkeypatch.setattr(potential, "grid_critical_points", refused)
+    pot, sets = full_pot((7, 5, -6, -7)), []
+    for seed in range(4):
+        stats = {}
+        pts = critical_points(pot, 0.1, seed=seed, stats=stats)
+        assert len(pts) == 24 and stats["outside_torus"] == 0
+        assert (stats["carry_steps"] > 0) == (seed == 2)
+        sets.append(np.array([p.y for p in pts]))
+    for Y in sets[1:]:
+        # each point's distance to the nearest of seed 0's, relative per coordinate
+        far = np.abs(Y[:, None] - sets[0]) / np.maximum(np.abs(Y)[:, None], np.abs(sets[0]))
+        assert far.max(axis=2).min(axis=1).max() <= 1e-7
+
+
+def test_points_outside_the_torus_at_8_3_1_m4_are_four_at_every_seed():
+    # palindromic gaps (5, 2, 5): 4 of the 24 solutions of D = 0 lie
+    # outside the torus at T = 0.1 too, not lost by the lift
+    pot = full_pot((8, 3, 1, -4))
+    for seed in range(4):
+        stats = {}
+        assert len(critical_points(pot, 0.1, seed=seed, stats=stats)) == 20
+        assert stats["outside_torus"] == 4
