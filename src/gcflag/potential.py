@@ -300,11 +300,11 @@ def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, ma
     return S, res, converged, singular
 
 
-def _start_grid(pot, T, seed=0, max_starts=MAX_STARTS):
+def _start_grid(pot, T, seed=0):
     """Deterministic starts, a (B, N) array: magnitudes T^u over the
     interior point and the vertices of the polytope, sixth-root phases.
     Subsampled reproducibly when the full grid is too large: fewer phases
-    per magnitude, drawn from random.Random(seed), and past max_starts
+    per magnitude, drawn from random.Random(seed), and past MAX_STARTS
     magnitudes one start each at an even stride over the whole list.
     The rows are ordered by phase draw: rows d M .. (d + 1) M - 1 are draw
     d of each of the M magnitudes, so every block of M covers the whole
@@ -314,10 +314,10 @@ def _start_grid(pot, T, seed=0, max_starts=MAX_STARTS):
         [poly.interior_point()] + [v for v, _ in poly.vertices()], dtype=float
     )
     N = pot.N
-    if len(mags) > max_starts:
-        mags = mags[np.arange(max_starts) * len(mags) // max_starts]
-    if len(mags) * min(6**N, 6 * N) > max_starts:
-        draws = max_starts // len(mags)
+    if len(mags) > MAX_STARTS:
+        mags = mags[np.arange(MAX_STARTS) * len(mags) // MAX_STARTS]
+    if len(mags) * min(6**N, 6 * N) > MAX_STARTS:
+        draws = MAX_STARTS // len(mags)
     elif 6**N <= 64:
         draws = None  # every phase combination
     else:
@@ -340,18 +340,21 @@ def _order_key(y):
     return tuple(np.round(np.abs(y), 6)) + tuple(arg)
 
 
-def _same(A, Y):
+def _same(A, Y, SA=None, SY=None):
     """(len(A), len(Y)) mask of the pairs of a row of A and a row of Y that
     are one point: within DEDUP_TOL of each other in every coordinate,
-    relative to the larger of the two values there.  Per coordinate,
-    because at small T the sizes of the coordinates differ by many orders
-    of magnitude.  Filled ROW_BLOCK rows of A at a time, so the complex
-    and float temporaries are (ROW_BLOCK, len(Y))."""
+    relative to the larger of their scales SA and SY there.  The scales
+    are |A| and |Y| by default, since at small T the sizes of the
+    coordinates differ by many orders of magnitude; a column of row max
+    norms compares at the row scale.  Filled ROW_BLOCK rows of A at a
+    time, so the complex and float temporaries are (ROW_BLOCK, len(Y))."""
+    SA = np.abs(A) if SA is None else np.broadcast_to(SA, A.shape)
+    SY = np.abs(Y) if SY is None else np.broadcast_to(SY, Y.shape)
     same = np.ones((len(A), len(Y)), bool)
-    for a, y, abs_a, abs_y in zip(A.T, Y.T, np.abs(A).T, np.abs(Y).T):
+    for a, y, sa, sy in zip(A.T, Y.T, SA.T, SY.T):
         for b in range(0, len(A), ROW_BLOCK):
             block = slice(b, b + ROW_BLOCK)
-            same[block] &= np.abs(a[block, None] - y) <= DEDUP_TOL * np.maximum(abs_a[block, None], abs_y)
+            same[block] &= np.abs(a[block, None] - y) <= DEDUP_TOL * np.maximum(sa[block, None], sy)
     return same
 
 
@@ -364,10 +367,12 @@ def critical_points(pot, T, seed=0, stats=None):
     picks), lifted to the GC chart (toda.toda_lift).  A point of D = 0
     whose lift has no zero entry is a critical point, and every critical
     point in the torus is one; the others lie outside the torus and are
-    dropped.  If the homotopy fails at T (RuntimeError), it runs at T0 =
-    exp(-1 / max gap of lam), where every coupling lies in [1/e, 1), and
-    _track carries the torus points to T round the real axis.  On a
-    partial flag the starts are the grid of grid_critical_points.
+    dropped.  If the homotopy fails at T (RuntimeError), or none of its
+    ends lifts into the torus, where the positive real minimum always
+    lies, it runs at T0 = exp(-1 / max gap of lam), where every coupling
+    lies in [1/e, 1), and _track carries the torus points to T round the
+    real axis.  On a partial flag the starts are the grid of
+    grid_critical_points.
     Either way _newton polishes the starts, the drift check and the dedup
     filter them as they converge, and Newton stops at
     cohomology_rank(pot.flag) distinct points.
@@ -388,12 +393,15 @@ def critical_points(pot, T, seed=0, stats=None):
     lam = [float(x) for x in pot.lam]
     homotopy, carry, T0 = {}, dict(steps=0, rejected=0), T
     try:
-        p = toda_solutions(lam, T0, seed=seed, stats=homotopy)
+        S, inside = toda_lift(toda_solutions(lam, T0, seed=seed, stats=homotopy), lam, T0)
+        if not inside.any():
+            # the positive real minimum always lies in the torus
+            raise RuntimeError("no end of the homotopy lifts into the torus")
     except RuntimeError:
-        # couplings many orders apart, whose clustered paths no gamma finishes
+        # couplings many orders apart, whose clustered paths no gamma
+        # finishes, or whose ends the lift cannot place
         T0 = np.exp(-1 / max(-np.diff(lam)))
-        p = toda_solutions(lam, T0, seed=seed, stats=homotopy)
-    S, inside = toda_lift(p, lam, T0)
+        S, inside = toda_lift(toda_solutions(lam, T0, seed=seed, stats=homotopy), lam, T0)
     S = S[inside]
     if T0 != T:
         a = np.log(T0)

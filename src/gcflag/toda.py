@@ -255,13 +255,13 @@ def toda_solutions(lam, T, seed=0, stats=None):
     complex, keeps the paths apart for t in (0, 1].  potential._track
     carries the paths from t = 1 to 0, its corrector stopping at
     HOMOTOPY_TOL, and _newton polishes their ends at t = 0 to NEWTON_TOL.
-    If a path is lost, or two paths end at one point (one jumped onto
-    another), every path is tracked again with the next gamma that
-    random.Random(seed) draws, up to HOMOTOPY_GAMMAS draws; then
-    RuntimeError, and critical_points goes round the real axis to T from
-    balanced couplings.  stats, if a dict, receives paths, and the steps
-    and rejections summed over every path tracked."""
-    from .potential import HOMOTOPY_GAMMAS, HOMOTOPY_TOL, NEWTON_TOL, _log_T, _newton, _track
+    If a path is lost, or two paths end at one point (_same at the row
+    scale: one jumped onto another), every path is tracked again with the
+    next gamma that random.Random(seed) draws, up to HOMOTOPY_GAMMAS
+    draws; then RuntimeError, and critical_points goes round the real
+    axis to T from balanced couplings.  stats, if a dict, receives paths,
+    and the steps and rejections summed over every path tracked."""
+    from .potential import HOMOTOPY_GAMMAS, HOMOTOPY_TOL, NEWTON_TOL, _log_T, _newton, _same, _track
 
     n = len(lam)
     l = -_log_T(T) * np.asarray(lam, dtype=float)
@@ -281,33 +281,17 @@ def toda_solutions(lam, T, seed=0, stats=None):
         except RuntimeError:
             continue  # a path was lost
         Z = _newton(homotopy, Z, 0.0, NEWTON_TOL)[0]
-        if not _meet(Z).any():
+        # at the row scale: a coordinate near 0 would part two copies
+        norm = np.abs(Z).max(axis=1, keepdims=True)
+        meet = _same(Z, Z, norm, norm)
+        np.fill_diagonal(meet, False)
+        if not meet.any():
             break
     else:
         raise RuntimeError("homotopy lost a path, or two paths met, at each of %d gammas" % HOMOTOPY_GAMMAS)
     if stats is not None:
         stats.update(paths=len(Z), homotopy_steps=track["steps"], homotopy_rejected=track["rejected"])
     return sigma * np.concatenate([-Z.sum(axis=1, keepdims=True), Z], axis=1)
-
-
-def _meet(Z):
-    """Mask of the rows of Z that lie within DEDUP_TOL of another row in
-    the max norm, relative to the larger max norm of the two: per
-    coordinate, as _same compares, a coordinate near 0 would part two
-    copies of one point.  Filled ROW_BLOCK rows at a time."""
-    from .potential import DEDUP_TOL, ROW_BLOCK
-
-    norm = np.abs(Z).max(axis=1)
-    meet = np.zeros(len(Z), bool)
-    for b in range(0, len(Z), ROW_BLOCK):
-        block = slice(b, b + ROW_BLOCK)
-        far = np.zeros((len(norm[block]), len(Z)))
-        for z in Z.T:
-            far = np.maximum(far, np.abs(z[block, None] - z))
-        close = far <= DEDUP_TOL * np.maximum(norm[block, None], norm)
-        close[np.arange(len(far)), np.arange(b, b + len(far))] = False
-        meet[block] = close.any(axis=1)
-    return meet
 
 
 def toda_lift(p, lam, T):

@@ -10,10 +10,10 @@ every candidate inequality cuts out, not on the pattern order.  The
 interior lattice points (interior_lattice_points) are found by a scan
 over every lattice point.  The numeric references: ladder_valuations
 continues critical points in T by the batched Newton on a fixed fine
-ladder, with no step control; apart_at_once builds the complement of the
-same-point mask in one shot; near_relative_to_max is the dedup's earlier
-rule, relative to max|y|; lstsq_fit fits the valuations by
-numpy.linalg.lstsq.
+ladder, with no step control; same_at_once builds the same-point mask in
+one shot; meet is the homotopy's end test in the max norm of each row;
+near_relative_to_max is the dedup's earlier rule, relative to max|y|;
+lstsq_fit fits the valuations by numpy.linalg.lstsq.
 """
 
 from fractions import Fraction
@@ -208,14 +208,28 @@ def ladder_valuations(pot, points, per_unit=32):
     return np.tensordot(x, np.array(samples), axes=1) / (x @ x)
 
 
-def apart_at_once(Y):
-    """The (B, B) mask of the row pairs of Y that differ by more than
-    DEDUP_TOL in some coordinate, relative to the larger of the two values
-    there, with every (B, B) temporary at once."""
-    far = np.zeros((len(Y), len(Y)), bool)
-    for y in Y.T:
-        far |= np.abs(y[:, None] - y) > DEDUP_TOL * np.maximum(np.abs(y)[:, None], np.abs(y))
-    return far
+def same_at_once(A, Y):
+    """The (len(A), len(Y)) mask of the pairs of a row of A and a row of Y
+    within DEDUP_TOL of each other in every coordinate, relative to the
+    larger of the two values there, with every temporary at once."""
+    same = np.ones((len(A), len(Y)), bool)
+    for a, y in zip(A.T, Y.T):
+        same &= np.abs(a[:, None] - y) <= DEDUP_TOL * np.maximum(np.abs(a)[:, None], np.abs(y))
+    return same
+
+
+def meet(Z):
+    """Mask of the rows of Z that lie within DEDUP_TOL of another row in
+    the max norm, relative to the larger max norm of the two, with every
+    (B, B) temporary at once: the rule of the homotopy's end test, written
+    in the max norm."""
+    norm = np.abs(Z).max(axis=1)
+    far = np.zeros((len(Z), len(Z)))
+    for z in Z.T:
+        far = np.maximum(far, np.abs(z[:, None] - z))
+    close = far <= DEDUP_TOL * np.maximum(norm[:, None], norm)
+    np.fill_diagonal(close, False)
+    return close.any(axis=1)
 
 
 def near_relative_to_max(A, Y):

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from exact_oracle import apart_at_once, ladder_valuations, lstsq_fit, near_relative_to_max
+from exact_oracle import ladder_valuations, lstsq_fit, meet, near_relative_to_max, same_at_once
 
 from gcflag.cli import main
 from gcflag.flags import FlagType, anticanonical_lambda
@@ -227,13 +227,14 @@ def test_start_grid_from_vertices_and_interior_point():
     assert np.array_equal(starts, _start_grid(pot, T))
 
 
-def test_start_grid_cap_strides_over_every_vertex():
+def test_start_grid_cap_strides_over_every_vertex(monkeypatch):
     pot = pot_f3()
     T = np.exp(-1.0)
     mags = np.array(
         [pot.poly.interior_point()] + [v for v, _ in pot.poly.vertices()], dtype=float
     )
-    starts = _start_grid(pot, T, max_starts=4)
+    monkeypatch.setattr(potential, "MAX_STARTS", 4)
+    starts = _start_grid(pot, T)
     # more magnitudes than starts: one start each, spread over the whole
     # list, where a cut at the end would keep magnitudes 0-3 only
     assert len(mags) >= 8 and starts.shape == (4, 3)
@@ -468,12 +469,16 @@ def test_staged_critical_points_match_the_all_at_once_oracle(flag, lam, seed):
 @pytest.mark.parametrize("flag,lam", DEDUP_CASES, ids=DEDUP_IDS)
 def test_same_point_rule_dedups_as_the_rule_relative_to_max_y(monkeypatch, flag, lam, seed):
     # the dedup compares each coordinate relative to the larger of the two
-    # values there; relative to max|y| instead, it keeps the same points
+    # values there; relative to max|y| instead, it keeps the same points.
+    # The homotopy's end test passes its row scales and keeps its rule
     pot = build_potential(build_polytope(flag, lam))
     T = np.exp(-1.0)
     stats, old_stats = {}, {}
     got = critical_points(pot, T, seed=seed, stats=stats)
-    monkeypatch.setattr(potential, "_same", near_relative_to_max)
+    same = potential._same
+    monkeypatch.setattr(
+        potential, "_same", lambda A, Y, *scales: same(A, Y, *scales) if scales else near_relative_to_max(A, Y)
+    )
     want = critical_points(pot, T, seed=seed, stats=old_stats)
     assert stats == old_stats and len(got) == len(want) > 0
     for p, q in zip(got, want):
@@ -670,9 +675,41 @@ def test_blocked_same_point_mask_matches_the_one_shot_oracle(blocks, extra):
         if k % 2:
             Y[k, rng.integers(3)] *= 1 + 1e-7
     far = ~potential._same(Y, Y)
-    assert np.array_equal(far, apart_at_once(Y))
+    assert np.array_equal(far, ~same_at_once(Y, Y))
     if B > 2:
         assert far.any() and (~far[~np.eye(B, dtype=bool)]).any()
+    assert np.array_equal(row_scale_meet(Y), meet(Y))
+
+
+def row_scale_meet(Z):
+    """The rows of Z that are one point with another row at the row scale,
+    as toda_solutions tests its ends."""
+    norm = np.abs(Z).max(axis=1, keepdims=True)
+    same = potential._same(Z, Z, norm, norm)
+    np.fill_diagonal(same, False)
+    return same.any(axis=1)
+
+
+def test_same_point_rule_matches_its_oracles_on_adversarial_rows():
+    # each case a pair of rows, one point per coordinate in the first two
+    # cases only, and at the row scale (the max norm relative to the larger
+    # norm) also where only a coordinate far below the others differs
+    z = np.array([1 + 2j, -3 + 0.5j, 0.25 - 1j])
+    pairs = {
+        "real conjugates": (z.real, z.real.conj()),
+        "gap 0.9e-8": (2 * z, 2 * z * (1 + 0.9e-8)),
+        "conjugates": (3 * z, 3 * z.conj()),
+        "gap 1.1e-8": (4 * z, 4 * z * (1 + 1.1e-8)),
+        "1e-20 and 1e20": (np.array([1e-20, 1, 1e20]), np.array([2e-20, 1, 1e20])),
+        "zero": (np.array([0, 1, 2]), np.array([1e-12, 1, 2])),
+        "nan": (np.array([np.nan, 1, 2]), np.array([np.nan, 1, 2])),
+    }
+    Z = np.array([row for pair in pairs.values() for row in pair], dtype=complex)
+    same = potential._same(Z, Z)
+    assert np.array_equal(same, same_at_once(Z, Z))
+    assert np.array_equal(row_scale_meet(Z), meet(Z))
+    assert same[::2, 1::2].diagonal().tolist() == [True, True] + [False] * 5
+    assert row_scale_meet(Z).tolist() == [True] * 4 + [False] * 4 + [True] * 4 + [False] * 2
 
 
 def test_tracker_counts_every_step(monkeypatch):
