@@ -192,12 +192,14 @@ def _derivatives(pot, S, logT):
 
 def _points(pot, S, T, logT, residuals):
     """One CriticalPoint per row of S, with its Hessian determinant and
-    nondegeneracy from one _derivatives call; no valuation."""
+    nondegeneracy from one _derivatives call, sorted by _order_key; no
+    valuation."""
     _, _, H = _derivatives(pot, S, logT)
-    return [
+    points = [
         CriticalPoint(y=np.exp(s), T=T, residual=r, hessian_det=dh, nondegenerate=bool(nd))
         for s, r, dh, nd in zip(S, residuals, np.linalg.det(H), _nondegenerate(H))
     ]
+    return sorted(points, key=lambda p: _order_key(p.y))
 
 
 def _solve_rows(H, G):
@@ -240,7 +242,7 @@ def _solve_blocks(pot, S, rows, logT, tangent=False):
 def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, maxit=None, min_steps=0):
     """Damped Newton on every row of S, a (B, N) stack: the one Newton loop
     of the multi-start, the positive minimum, _track's corrector and the
-    polish of the Toda homotopy's ends.  system is the system it solves:
+    polish of the Toda homotopy's ends and of their lifts.  system is the system it solves:
     a LaurentPotential, whose dW/ds = 0 it solves in log coordinates at
     log T = at, or any object whose newton_rows(S, rows, at) returns the
     Newton step at the given rows as _solve_blocks does.  at is one value,
@@ -359,11 +361,11 @@ def _same(A, Y, SA=None, SY=None):
 
 
 def critical_points(pot, T, seed=0, stats=None):
-    """All isolated critical points at fixed T in the torus, by one of two
-    routes that share their end.
+    """All isolated critical points at fixed T in the torus, sorted by
+    _order_key, by one of two routes.
 
-    On a full flag the starts are the n! points of the Toda level set
-    D = 0 (toda.toda_solutions, one homotopy whose gamma random.Random(seed)
+    On a full flag they are the n! points of the Toda level set D = 0
+    (toda.toda_solutions, one homotopy whose gamma random.Random(seed)
     picks), lifted to the GC chart (toda.toda_lift).  A point of D = 0
     whose lift has no zero entry is a critical point, and every critical
     point in the torus is one; the others lie outside the torus and are
@@ -371,19 +373,20 @@ def critical_points(pot, T, seed=0, stats=None):
     ends lifts into the torus, where the positive real minimum always
     lies, it runs at T0 = exp(-1 / max gap of lam), where every coupling
     lies in [1/e, 1), and _track carries the torus points to T round the
-    real axis.  On a partial flag the starts are the grid of
-    grid_critical_points.
-    Either way _newton polishes the starts, the drift check and the dedup
-    filter them as they converge, and Newton stops at
-    cohomology_rank(pot.flag) distinct points.
+    real axis.  One _newton call polishes the torus points.  The
+    homotopy's ends are distinct, so every row must converge and no two
+    may be one point (_same): points + outside_torus = n! is checked, and
+    RuntimeError says how many rows fail it.  On a partial flag the
+    points are those of grid_critical_points.
 
-    If stats is a dict it receives what grid_critical_points reports.  On
-    the Toda route starts is the number of homotopy paths, n!, and there
-    is no magnitude box: outside_box gives way to outside_torus, the paths
-    whose lift has a zero entry.  paths, homotopy_steps and
-    homotopy_rejected count the paths and their steps and rejections,
-    summed over the paths; carry_steps and carry_rejected those of the
-    carry from T0, both 0 when the homotopy ran at T.
+    If stats is a dict it receives, on a partial flag, what
+    grid_critical_points reports.  On a full flag it receives starts and
+    paths, both n!; outside_torus, the paths whose lift has a zero entry;
+    points, the number returned; _newton's row_steps, widest, longest and
+    not_converged; homotopy_steps and homotopy_rejected, the homotopy's
+    steps and rejections summed over the paths; and carry_steps and
+    carry_rejected those of the carry from T0, both 0 when the homotopy
+    ran at T.
     """
     if not pot.flag.is_full():
         return grid_critical_points(pot, T, seed=seed, stats=stats)
@@ -406,19 +409,27 @@ def critical_points(pot, T, seed=0, stats=None):
     if T0 != T:
         a = np.log(T0)
         S = _track(pot, S, a, [(a + logT) / 2 + 1j * DETOUR, logT], VALUATION_TOL, 1, carry)[-1]
-    points = _polish(pot, S, T, logT, stats=stats)
+    newton = {}
+    S, res, converged, _ = _newton(pot, S, logT, stats=newton)
+    Y = np.exp(S)
+    same = _same(Y, Y)
+    np.fill_diagonal(same, False)
+    failed = int((~converged | same.any(axis=1)).sum())
+    if failed:
+        raise RuntimeError("%d of %d torus points did not converge or are one point with another" % (failed, len(S)))
     if stats is not None:
-        stats.update(starts=len(inside), outside_torus=int((~inside).sum()), **homotopy)
+        stats.update(starts=len(inside), outside_torus=int((~inside).sum()), points=len(S), **newton, **homotopy)
         stats.update(carry_steps=carry["steps"], carry_rejected=carry["rejected"])
-    return points
+    return _points(pot, S, T, logT, res)
 
 
 def grid_critical_points(pot, T, seed=0, stats=None):
     """The critical points found by multi-start Newton from _start_grid at
-    fixed T: the route of critical_points on partial flags, and on full
-    flags the oracle of the Toda route, since it never reads D = 0.
+    fixed T, sorted by _order_key: the route of critical_points on partial
+    flags, and on full flags the oracle of the Toda route, since it never
+    reads D = 0.
 
-    The starts join Newton one phase draw per iteration: draw d of the
+    The starts join _newton one phase draw per iteration: draw d of the
     interior point and of every vertex, so each block covers the whole
     polytope.  The starts that converge in an iteration are filtered right
     away, in row order: the magnitude box, the drift check and the dedup.
@@ -439,6 +450,7 @@ def grid_critical_points(pot, T, seed=0, stats=None):
     iteration, and longest, the most steps one row took.
     """
     logT = _log_T(T)
+    rank = cohomology_rank(pot.flag)
     # magnitude box: genuine critical points have valuations in the
     # polytope, so log|y_k| stays within the coordinate range of the
     # polytope; Newton runaways along collapse loci (where subsets of
@@ -446,32 +458,17 @@ def grid_critical_points(pot, T, seed=0, stats=None):
     # scale) drift outside it
     verts = np.array([v for v, _ in pot.poly.vertices()], dtype=float)
     slack = 0.5 * abs(logT) + 1.0
-    box = verts.max(axis=0) * logT - slack, verts.min(axis=0) * logT + slack  # logT < 0 flips the range
+    lo, hi = verts.max(axis=0) * logT - slack, verts.min(axis=0) * logT + slack  # logT < 0 flips the range
     starts = _start_grid(pot, T, seed=seed)
-    # one block per phase draw: as many rows as magnitudes, which are the
-    # interior point and the vertices, or one row each past MAX_STARTS
-    return _polish(pot, starts, T, logT, box=box, width=min(len(verts) + 1, len(starts)), stats=stats)
-
-
-def _polish(pot, starts, T, logT, box=None, width=None, stats=None):
-    """The end both routes of critical_points share: _newton on the starts,
-    width at a time, with the rows that converge in an iteration filtered
-    right away, in row order, by the magnitude box (lo, hi) if given, the
-    drift check and the dedup, up to cohomology_rank(pot.flag) distinct
-    points; then their CriticalPoints, sorted.  stats as in
-    grid_critical_points, with outside_box only when there is a box."""
-    rank = cohomology_rank(pot.flag)
     found, Y = [], np.zeros((0, pot.N), complex)  # rows and values of the distinct points
-    rejected = dict(drifting=0) if box is None else dict(outside_box=0, drifting=0)
+    rejected = dict(outside_box=0, drifting=0)
 
     def admit(S, rows, drift):
         """Filter the rows that just converged; True once rank points are found."""
         nonlocal Y
-        if box is not None:
-            lo, hi = box
-            inbox = ~((S[rows].real < lo).any(axis=1) | (S[rows].real > hi).any(axis=1))
-            rejected["outside_box"] += int((~inbox).sum())
-            rows, drift = rows[inbox], drift[inbox]
+        inbox = ~((S[rows].real < lo).any(axis=1) | (S[rows].real > hi).any(axis=1))
+        rejected["outside_box"] += int((~inbox).sum())
+        rows, drift = rows[inbox], drift[inbox]
         # drift check: at a genuine isolated point the Newton step is at
         # rounding level; in a flat valley it stays order one
         steady = ~(drift > DRIFT_TOL)
@@ -486,10 +483,10 @@ def _polish(pot, starts, T, logT, box=None, width=None, stats=None):
                 Y = np.vstack([Y, y])
         return len(found) >= rank
 
+    # one block per phase draw: as many rows as magnitudes, which are the
+    # interior point and the vertices, or one row each past MAX_STARTS
     newton = {}
-    S, res, converged, singular = _newton(pot, starts, logT, stop=admit, width=width, stats=newton)
-    points = _points(pot, S[found], T, logT, res[found])
-    points.sort(key=lambda p: _order_key(p.y))
+    S, res, converged, singular = _newton(pot, starts, logT, stop=admit, width=min(len(verts) + 1, len(starts)), stats=newton)
     if stats is not None:
         n_conv, n_sing = int(converged.sum()), int(singular.sum())
         stats.update(
@@ -498,11 +495,11 @@ def _polish(pot, starts, T, logT, box=None, width=None, stats=None):
             singular=n_sing,
             unfinished=len(S) - n_conv - n_sing - newton["not_converged"],
             **rejected,
-            duplicate=n_conv - sum(rejected.values()) - len(points),
-            points=len(points),
+            duplicate=n_conv - sum(rejected.values()) - len(found),
+            points=len(found),
             **newton,  # not_converged, row_steps, widest and longest
         )
-    return points
+    return _points(pot, S[found], T, logT, res[found])
 
 
 def hessian_nondegenerate(pot, T, y):

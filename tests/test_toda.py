@@ -6,6 +6,7 @@ import pytest
 from exact_oracle import meet
 
 from gcflag import potential, toda
+from gcflag.cli import main
 from gcflag.criteria import POLYTOPE_CASES
 from gcflag.flags import FlagType, anticanonical_lambda
 from gcflag.polytopes import build_polytope, free_positions
@@ -268,10 +269,12 @@ def test_toda_route_holds_the_grid_points(flag, lam):
         # the same count and, point by point, the same order
         assert len(toda) == len(grid)
         assert (np.abs(Y - X) <= DEDUP_TOL * np.maximum(np.abs(Y), np.abs(X))).all()
-    assert stats["paths"] == stats["starts"] == factorial(flag.n)
-    rejected = ("outside_torus", "singular", "not_converged", "unfinished", "drifting", "duplicate")
-    assert sum(stats[k] for k in rejected) + stats["points"] == stats["starts"]
-    assert "outside_box" not in stats
+    # every end of the homotopy is a point or lies outside the torus, and
+    # none passes through the grid's filters
+    assert stats["outside_torus"] + stats["points"] == stats["starts"] == stats["paths"] == factorial(flag.n)
+    assert stats["points"] == len(toda) and stats["not_converged"] == 0
+    grid_only = ("converged", "singular", "unfinished", "outside_box", "drifting", "duplicate")
+    assert not set(grid_only) & set(stats)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -441,13 +444,14 @@ def test_homotopy_whose_ends_all_leave_the_torus_goes_round(monkeypatch, seed):
         assert not toda_lift(toda_solutions(lam, T, seed=seed), lam, T)[1].any()
 
 
-@pytest.mark.xfail(strict=True, reason="the drift check drops 3 genuine ends of the homotopy")
 def test_toda_route_accounts_for_every_end_at_8_6_m5_m6():
     # every end of the homotopy is a point or lies outside the torus; at
-    # T = 0.01, seed 0, 3 ends carried from T0 fail the drift check: 21 + 0
+    # T = 0.01, seed 0, the ends are carried from T0, and 3 of them would
+    # fail the grid's drift check
     stats = {}
     pts = critical_points(full_pot((8, 6, -5, -6)), 0.01, stats=stats)
     assert len(pts) + stats["outside_torus"] == 24
+    assert stats["carry_steps"] > 0
 
 
 @pytest.mark.xfail(strict=True, reason="the lift at T puts 20 ends outside the torus, the lift at T0 none")
@@ -460,3 +464,22 @@ def test_lifts_at_T_and_T0_agree_at_5_4_3_2_m9():
     assert outside[0] == outside[1]
     stats = {}
     assert len(critical_points(full_pot(lam), T, stats=stats)) == 120 and stats["outside_torus"] == 0
+
+
+@pytest.mark.parametrize("fault,failed", [("copy", 2), ("nan", 1)])
+def test_toda_route_refuses_ends_that_are_not_n_distinct_points(monkeypatch, capsys, fault, failed):
+    # one torus row a copy of another (both fail), or one row NaN: the
+    # route cannot account for every end of the homotopy, so it raises
+    # rather than return 23 points and 0 outside the torus
+    lift = toda.toda_lift
+
+    def faulty(p, lam, T):
+        S, inside = lift(p, lam, T)
+        S[1] = S[0] if fault == "copy" else np.nan
+        return S, inside
+
+    monkeypatch.setattr(toda, "toda_lift", faulty)
+    with pytest.raises(RuntimeError, match="%d of 24 torus points" % failed):
+        critical_points(full_pot((5, 2, 0, -4)), np.exp(-1.0))
+    assert main(["critical", "--flag", "1,2,3|4", "--lambda", "5,2,0,-4"]) == 1
+    assert "internal error: %d of 24 torus points" % failed in capsys.readouterr().err
