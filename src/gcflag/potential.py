@@ -6,9 +6,11 @@ facet with normal v and offset tau contributes prod_k y_k^{v_k} times
 prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
 Newton iteration in logarithmic coordinates.  On a full flag its starts
-are the n! points of the Toda level set D = 0, from one homotopy, lifted
-to the GC chart (toda.toda_solutions, toda.toda_lift); on a partial flag
-a deterministic grid (vertices and interior point of the polytope,
+are the n! points of the Toda level set D = 0 (the Hamiltonians of
+gcflag.toda), from one homotopy (toda_solutions), lifted to the GC chart
+(toda_lift); if that fails at T, it runs at balanced couplings and the
+points are carried back to T.  On a partial flag the starts are a
+deterministic grid (vertices and interior point of the polytope,
 sixth-root phases from random.Random(seed) when the grid is large) that
 joins one phase draw per iteration.  Valuations are estimated by
 continuing every branch to small T on _track, the one adaptive
@@ -20,6 +22,7 @@ meets a pole, no homotopy finishes) goes round in complex log T.
 import random
 from collections import namedtuple
 from functools import cached_property
+from itertools import permutations
 from math import factorial
 
 from ._lazy import lazy
@@ -360,13 +363,172 @@ def _same(A, Y, SA=None, SY=None):
     return same
 
 
+# ---------------------------------------------------------------------------
+# the level set D = 0 by homotopy, and its lift to the GC chart; A and
+# D_i are the Lax matrix and Hamiltonians of gcflag.toda
+
+
+class _Homotopy:
+    """H = t gamma G + (1 - t) F in z = (p_1, ..., p_{n-1}), where
+    p_0 = -(p_1 + ... + p_{n-1}) makes D_1 = 0.  F = (D_2, ..., D_n) at the
+    couplings q, and G is the same at q = 0 with det(A + xI) = x^n - 1:
+    G = (e_2, ..., e_{n-1}, e_n + 1) of p, whose n! roots are the orderings
+    of minus the n-th roots of unity.  G has the degrees 2..n of F and the
+    same leading forms, so no path meets infinity at any t."""
+
+    def __init__(self, q, gamma):
+        n = len(q) + 1
+        k = np.arange(n + 1)
+        self.gamma = gamma
+        # one recurrence for four determinants det(A + xI): of A and of A
+        # in reverse order (its trailing minors), at q and at q = 0
+        self.q = np.zeros((4, n - 1, 1, 1))
+        self.q[:2, :, 0, 0] = q, q[::-1]
+        self.roots = np.exp(2j * np.pi * k / (n + 1))
+        self.dft = np.exp(-2j * np.pi * np.outer(k, k) / (n + 1)) / (n + 1)
+
+    def _toda(self, Z):
+        """(F, G) (2, B, n-1) and their z-Jacobians (2, B, n-1, n-1) at the
+        rows of Z.
+
+        det(A + xI) is evaluated at the n + 1 roots of unity by the
+        recurrence of toda.toda_hamiltonians, and the inverse DFT (dft, the
+        conjugate over n + 1) reads off its coefficients.  d/dp_j of it
+        is the leading minor of size j times the trailing minor below row
+        j."""
+        n = Z.shape[1] + 1
+        p = np.concatenate([-Z.sum(axis=1, keepdims=True), Z], axis=1)
+        d = np.stack([p, p[:, ::-1]] * 2)[..., None] + self.roots  # (4, B, n, n + 1)
+        lead = np.ones((n + 1,) + d[:, :, 0].shape, complex)  # lead[k]: the first k rows
+        lead[1] = d[:, :, 0]
+        for k in range(2, n + 1):
+            lead[k] = d[:, :, k - 1] * lead[k - 1] + self.q[:, k - 2] * lead[k - 2]
+        c = (lead[n, ::2] @ self.dft)[..., n - 2 :: -1]  # D_2..D_n: D_i is the coefficient of x^{n-i}
+        c[1, :, -1] += 1  # e_n + 1
+        dp = (lead[:n, ::2] * lead[n - 1 :: -1, 1::2]) @ self.dft  # (n, 2, B, n + 1): d/dp_j
+        return c, (dp[1:] - dp[0])[..., n - 2 :: -1].transpose(1, 2, 3, 0)
+
+    def _solve(self, Z, rows, t, tangent=False):
+        """At the given rows of Z, each at its own t: the Newton step J^-1 H
+        or, with tangent, the tangent dz/dt = J^-1 (F - gamma G), J the
+        z-Jacobian of H; and where it was solved (_solve_rows)."""
+        t = t[rows, None]
+        (F, G), (dF, dG) = self._toda(Z[rows])
+        J = (1 - t)[..., None] * dF + (t * self.gamma)[..., None] * dG
+        return _solve_rows(J, F - self.gamma * G if tangent else t * self.gamma * G + (1 - t) * F)
+
+    def newton_rows(self, Z, rows, t):
+        """The Newton step at the given rows of Z, for _newton.  Returns
+        (X, ok, scale, r) as _solve_blocks does, but r is the max norm of
+        the step and scale that of the row: the terms of H cancel too
+        deeply near clustered points for a test on |H| to place a point."""
+        X, ok = self._solve(Z, rows, t)
+        return X, ok, np.abs(Z[rows]).max(axis=1), np.where(ok, np.abs(X).max(axis=1), np.inf)
+
+    def tangent_rows(self, Z, rows, t):
+        """The tangent dz/dt at the given rows of Z, and where it was
+        solved, for _track."""
+        return self._solve(Z, rows, t, tangent=True)
+
+
+def toda_solutions(lam, T, seed=0, stats=None):
+    """The momenta p (n!, n) of the n! points of the Toda level set
+    D_1 = ... = D_n = 0 at the couplings q_i = exp(l_{i+1} - l_i), where
+    l = -log T lam: the potential at (T, lam) is the potential at
+    (e^-1, l) in the same log coordinates.
+
+    The level set has exactly n! points and none at infinity, so the
+    homotopy _Homotopy, whose start system has n! roots and the leading
+    forms of F, reaches each one (Sommese & Wampler, 2005); gamma, a unit
+    complex, keeps the paths apart for t in (0, 1].  _track carries the
+    paths from t = 1 to 0, its corrector stopping at HOMOTOPY_TOL, and
+    _newton polishes their ends at t = 0 to NEWTON_TOL.
+    If a path is lost, or two paths end at one point (_same at the row
+    scale: one jumped onto another), every path is tracked again with the
+    next gamma that random.Random(seed) draws, up to HOMOTOPY_GAMMAS
+    draws; then RuntimeError, and critical_points goes round the real
+    axis to T from balanced couplings.  stats, if a dict, receives paths,
+    and the steps and rejections summed over every path tracked."""
+    n = len(lam)
+    l = -_log_T(T) * np.asarray(lam, dtype=float)
+    # D_i is homogeneous of degree i when p has weight 1 and q weight 2, so
+    # the homotopy solves for p / sigma at q / sigma^2, whose points are of
+    # the size of G's roots: with q small they would crowd together near 0
+    sigma = np.exp((l[-1] - l[0]) / (2 * (n - 1)))
+    starts = -np.array(list(permutations(np.exp(2j * np.pi * np.arange(n) / n))))[:, 1:]
+    track = dict(steps=0, rejected=0)
+    draw = random.Random(seed).random
+    for _ in range(HOMOTOPY_GAMMAS):
+        homotopy = _Homotopy(np.exp(np.diff(l)) / sigma**2, np.exp(2j * np.pi * draw()))
+        try:
+            # no forced corrector step: at n = 2 the path is constant, and
+            # a step of rounding size would exceed its zero predicted move
+            Z = _track(homotopy, starts, 1.0, (0.0,), HOMOTOPY_TOL, 0, track)[0]
+        except RuntimeError:
+            continue  # a path was lost
+        Z = _newton(homotopy, Z, 0.0, NEWTON_TOL)[0]
+        # at the row scale: a coordinate near 0 would part two copies
+        norm = np.abs(Z).max(axis=1, keepdims=True)
+        meet = _same(Z, Z, norm, norm)
+        np.fill_diagonal(meet, False)
+        if not meet.any():
+            break
+    else:
+        raise RuntimeError("homotopy lost a path, or two paths met, at each of %d gammas" % HOMOTOPY_GAMMAS)
+    if stats is not None:
+        stats.update(paths=len(Z), homotopy_steps=track["steps"], homotopy_rejected=track["rejected"])
+    return sigma * np.concatenate([-Z.sum(axis=1, keepdims=True), Z], axis=1)
+
+
+def toda_lift(p, lam, T):
+    """The points of the GC chart of the full flag whose boundary gradients
+    are the rows of p, solutions of D = 0 from toda_solutions.  Returns
+    (S, inside): log coordinates s = log y in free_positions order, and
+    the rows that lie in the torus.
+
+    With E_ij = exp(T_ij), l = -log T lam on the boundary E_{i,n-i+1},
+    X(i, j) = E_ij / E_{i,j+1} and Y(i, j) = E_{i+1,j} / E_ij, the boundary
+    gradients g_m = p_{m-1}, m = 1..n-1, give X(m, n-m) = Y(m-1, n-m+1) -
+    p_{m-1}; then, anti-diagonal by anti-diagonal inwards, the critical
+    equation at (i, j), j >= 2, gives X(i, j-1) = X(i, j) + Y(i-1, j) -
+    Y(i, j).  Y(0, .) is absent.  A row lies outside the torus when one of
+    these sums cancels to TORUS_TOL of its terms: that entry is zero.
+    s_a = -log E_ij at a = (i+j-1, i), the order of toda.gc_to_toda."""
+    from .flags import FlagType
+    from .polytopes import free_positions
+
+    n, l = len(lam), -_log_T(T) * np.asarray(lam, dtype=float)
+    E = {(i, n - i + 1): np.full(len(p), np.exp(l[i - 1]), complex) for i in range(1, n + 1)}
+    zero = np.zeros(len(p), bool)
+
+    def Y(i, j):
+        return E[i + 1, j] / E[i, j] if i else 0.0
+
+    def put(i, j, terms):
+        """E_ij = E_{i,j+1} X(i, j), where X(i, j) is the sum of terms."""
+        nonlocal zero
+        x = sum(terms)
+        zero |= ~(np.abs(x) > TORUS_TOL * sum(np.abs(term) for term in terms))
+        E[i, j] = E[i, j + 1] * x
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, n):
+            put(m, n - m, (Y(m - 1, n - m + 1), -p[:, m - 1]))
+        for s in range(n - 1, 1, -1):
+            for i in range(1, s):
+                j = s - i + 1
+                put(i, j - 1, (E[i, j] / E[i, j + 1], Y(i - 1, j), -Y(i, j)))
+        S = -np.log(np.array([E[i, k - i + 1] for k, i in free_positions(FlagType.full(n))]).T)
+    return S, ~zero & np.isfinite(S).all(axis=1)
+
+
 def critical_points(pot, T, seed=0, stats=None):
     """All isolated critical points at fixed T in the torus, sorted by
     _order_key, by one of two routes.
 
     On a full flag they are the n! points of the Toda level set D = 0
-    (toda.toda_solutions, one homotopy whose gamma random.Random(seed)
-    picks), lifted to the GC chart (toda.toda_lift).  A point of D = 0
+    (toda_solutions, one homotopy whose gamma random.Random(seed)
+    picks), lifted to the GC chart (toda_lift).  A point of D = 0
     whose lift has no zero entry is a critical point, and every critical
     point in the torus is one; the others lie outside the torus and are
     dropped.  If the homotopy fails at T (RuntimeError), or none of its
@@ -390,7 +552,6 @@ def critical_points(pot, T, seed=0, stats=None):
     """
     if not pot.flag.is_full():
         return grid_critical_points(pot, T, seed=seed, stats=stats)
-    from .toda import toda_lift, toda_solutions
 
     logT = _log_T(T)
     lam = [float(x) for x in pot.lam]

@@ -1,9 +1,12 @@
+import ast
 import csv
+import glob
 import json
 import math
 import os
 import subprocess
 import sys
+from graphlib import TopologicalSorter
 
 import numpy as np
 import pytest
@@ -170,6 +173,15 @@ def test_critical_command_at_8_3_1_m4_and_T_0_1(capsys):
     # 20 points and 4 outside the torus; the continuation of one point
     # loses its branch on the real leg to T = 1e-2, so gc critical exits 1
     code, _ = run(capsys, "critical", "--flag", "1,2,3|4", "--lambda", "8,3,1,-4", "--T", "0.1")
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason="the valuation ladder loses row 10 at log T = -8.78294")
+def test_critical_command_at_7_5_m6_m7_and_T_0_1_seed_2(capsys):
+    # critical_points gives all 24 points, carried from T0 = exp(-1/11);
+    # the continuation of one of them loses its branch below T = 1e-2, so
+    # gc critical exits 1
+    code, _ = run(capsys, "critical", "--flag", "1,2,3|4", "--lambda", "7,5,-6,-7", "--T", "0.1", "--seed", "2")
     assert code == 0
 
 
@@ -345,12 +357,16 @@ assert "numpy.linalg" not in sys.modules, "numpy was loaded"
 def test_numeric_commands_do_not_import_numpy_random():
     # the start phases come from the standard library's random, so gc
     # critical and gc toda never load numpy.random, nor the secrets module
-    # (and hashlib's OpenSSL) that it imports
+    # (and hashlib's OpenSSL) that it imports.  The full-flag route of gc
+    # critical lives in the potential layer, so the Toda layer runs only
+    # for gc toda
     script = """
-import sys
+import sys, types
 from gcflag.cli import main
 for cmd in ("critical", "toda"):
     assert main([cmd, "--flag", "1,2,3|4", "--lambda", "5,2,0,-4", "--out", "/dev/null"]) == 0, cmd
+    ran = type(sys.modules["gcflag.toda"]) is types.ModuleType
+    assert ran == (cmd == "toda"), cmd
 assert "numpy.linalg" in sys.modules
 loaded = [m for m in ("numpy.random", "secrets") if m in sys.modules]
 assert not loaded, loaded
@@ -359,3 +375,26 @@ assert not loaded, loaded
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_layers_import_one_way():
+    # every relative import, at module level and inside functions: the
+    # modules import one another with no loop, and none imports a private
+    # name of another
+    graph, private = {}, []
+    for path in glob.glob(os.path.join(os.path.dirname(gcflag.__file__), "*.py")):
+        name = os.path.basename(path)[:-3]
+        graph[name] = set()
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            if node.module is None:  # from . import layer
+                graph[name].update(a.name for a in node.names)
+            else:
+                graph[name].add(node.module)
+                private += [name + ": " + node.module + "." + a.name for a in node.names if a.name.startswith("_")]
+    assert {"potential", "toda"} <= set(graph)
+    list(TopologicalSorter(graph).static_order())  # CycleError names a loop
+    assert not private, private

@@ -22,6 +22,7 @@ from gcflag.potential import (
     TRACK_MIN_STEP,
     VALUATION_LADDER,
     VALUATION_TOL,
+    _derivatives,
     _newton,
     _order_key,
     _solve_rows,
@@ -97,6 +98,20 @@ def test_gradient_matches_finite_differences():
         dk[k] = h
         fd = (pot.gradient(s + dk, logT) - pot.gradient(s - dk, logT)) / (2 * h)
         assert np.abs(fd - H[:, k]).max() < 1e-4 * max(1.0, np.abs(H).max())
+    # the same at three rows of _derivatives, which every Newton step,
+    # tracker tangent and nondegeneracy test reads: G is the derivative of
+    # each row's term sum, and H, a product with the table v v^T, that of G
+    for pot in (pot_g24(), pot_f3()):
+        S = rng.standard_normal((3, pot.N)) + 1j * rng.standard_normal((3, pot.N))
+        _, G, H = _derivatives(pot, S, logT)
+        for k in range(pot.N):
+            dk = np.zeros(pot.N, dtype=complex)
+            dk[k] = h
+            (Ep, Gp, _), (Em, Gm, _) = _derivatives(pot, S + dk, logT), _derivatives(pot, S - dk, logT)
+            fd = (Ep.sum(axis=1) - Em.sum(axis=1)) / (2 * h)
+            assert (np.abs(fd - G[:, k]) < 1e-5 * np.maximum(1.0, np.abs(G[:, k]))).all()
+            fd = (Gp - Gm) / (2 * h)
+            assert (np.abs(fd - H[:, :, k]).max(axis=1) < 1e-4 * np.maximum(1.0, np.abs(H).max(axis=(1, 2)))).all()
 
 
 # ---------------------------------------------------------------------------

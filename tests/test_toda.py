@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from exact_oracle import meet
 
-from gcflag import potential, toda
+from gcflag import potential
 from gcflag.cli import main
 from gcflag.criteria import POLYTOPE_CASES
 from gcflag.flags import FlagType, anticanonical_lambda
@@ -17,6 +17,8 @@ from gcflag.potential import (
     build_potential,
     critical_points,
     grid_critical_points,
+    toda_lift,
+    toda_solutions,
 )
 from gcflag.toda import (
     PhaseCoordinates,
@@ -26,8 +28,6 @@ from gcflag.toda import (
     level_set_check,
     phase_function,
     toda_hamiltonians,
-    toda_lift,
-    toda_solutions,
 )
 
 
@@ -383,14 +383,14 @@ def test_full_flag_goes_round_when_the_homotopy_fails_at_T(monkeypatch):
     # T0 = exp(-1/4) and carries the torus points round the real axis to T
     pot, T = full_pot((5, 2, 0, -4)), np.exp(-1.0)
     want = critical_points(pot, T)
-    solve = toda.toda_solutions
+    solve = potential.toda_solutions
 
     def fails_at_T(lam, at, **kwargs):
         if at == T:
             raise RuntimeError("homotopy lost a path, or two paths met, at each of 3 gammas")
         return solve(lam, at, **kwargs)
 
-    monkeypatch.setattr(toda, "toda_solutions", fails_at_T)
+    monkeypatch.setattr(potential, "toda_solutions", fails_at_T)
     monkeypatch.setattr(potential, "grid_critical_points", refused)
     stats = {}
     got = critical_points(pot, T, stats=stats)
@@ -471,14 +471,14 @@ def test_toda_route_refuses_ends_that_are_not_n_distinct_points(monkeypatch, cap
     # one torus row a copy of another (both fail), or one row NaN: the
     # route cannot account for every end of the homotopy, so it raises
     # rather than return 23 points and 0 outside the torus
-    lift = toda.toda_lift
+    lift = potential.toda_lift
 
     def faulty(p, lam, T):
         S, inside = lift(p, lam, T)
         S[1] = S[0] if fault == "copy" else np.nan
         return S, inside
 
-    monkeypatch.setattr(toda, "toda_lift", faulty)
+    monkeypatch.setattr(potential, "toda_lift", faulty)
     with pytest.raises(RuntimeError, match="%d of 24 torus points" % failed):
         critical_points(full_pot((5, 2, 0, -4)), np.exp(-1.0))
     assert main(["critical", "--flag", "1,2,3|4", "--lambda", "5,2,0,-4"]) == 1
