@@ -101,14 +101,12 @@ class LaurentPotential(namedtuple("LaurentPotential", "flag lam coords terms pol
         e = self.terms_at(s, logT)
         return (vm * e[:, None]).T @ vm
 
-    def newton_rows(self, S, rows, logT):
-        """The Newton step of dW/ds = 0 at the given rows of S, for _newton."""
-        return _solve_blocks(self, S, rows, logT)
-
-    def tangent_rows(self, S, rows, logT):
-        """The tangent dS/dlog T of the branches through the given rows of
-        S, and where it was solved, for _track."""
-        return _solve_blocks(self, S, rows, logT, tangent=True)[:2]
+    def linearize(self, S, logT, tangent=False):
+        """dW/ds = 0 at a block of rows S, each at its own log T (a column),
+        for _solve_blocks: the Hessian, dW/ds or, with tangent, (E tau) @ V,
+        whose solution is dS/dlog T, sum|terms| and max|dW/ds|."""
+        E, G, H = _derivatives(self, S, logT)
+        return H, (E * self._taus) @ self._vm if tangent else G, np.abs(E).sum(axis=1), np.abs(G).max(axis=1)
 
 
 def _pow(sym, e):
@@ -224,36 +222,37 @@ def _solve_rows(H, G):
     return X, ok
 
 
-def _solve_blocks(pot, S, rows, logT, tangent=False):
-    """At the given rows of S, each at its own log T (logT holds one per
-    row of S), evaluated and solved ROW_BLOCK rows at a time
-    so the working set does not grow with the number of rows: the Newton
-    step H^-1 dW/ds or, with tangent, the tangent dS/dlogT = H^-1 ((E tau)
-    @ V) of a branch of critical points.  Returns (X, ok, scale, r): the
-    solutions and _solve_rows' mask, and sum|terms| and max|dW/ds| at each
-    row."""
-    X, ok = np.empty((len(rows), pot.N), complex), np.empty(len(rows), bool)
+def _solve_blocks(system, S, rows, at, tangent=False):
+    """Linearize system at the given rows of S, each at its own parameter
+    (at holds one per row of S), and solve, ROW_BLOCK rows at a time so the
+    working set does not grow with the number of rows: the Newton step or,
+    with tangent, the tangent dS/dat.  Returns (X, ok, scale, r): the
+    solutions and _solve_rows' mask, and the scale and residual of each row
+    from system.linearize, or where it gives no residual the max norm of
+    the step (inf where it cannot be solved).  Runaway rows overflow
+    quietly; _newton and _track reject them."""
+    X, ok = np.empty((len(rows), S.shape[1]), complex), np.empty(len(rows), bool)
     scale, r = np.empty(len(rows)), np.empty(len(rows))
-    for b in range(0, len(rows), ROW_BLOCK):
-        block = slice(b, b + ROW_BLOCK)
-        E, G, H = _derivatives(pot, S[rows[block]], logT[rows[block], None])
-        scale[block], r[block] = np.abs(E).sum(axis=1), np.abs(G).max(axis=1)
-        X[block], ok[block] = _solve_rows(H, (E * pot._taus) @ pot._vm if tangent else G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(0, len(rows), ROW_BLOCK):
+            block = slice(b, b + ROW_BLOCK)
+            J, rhs, scale[block], res = system.linearize(S[rows[block]], at[rows[block], None], tangent)
+            X[block], ok[block] = _solve_rows(J, rhs)
+            r[block] = np.where(ok[block], np.abs(X[block]).max(axis=1), np.inf) if res is None else res
     return X, ok, scale, r
 
 
 def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, maxit=None, min_steps=0):
     """Damped Newton on every row of S, a (B, N) stack: the one Newton loop
     of the multi-start, the positive minimum, _track's corrector and the
-    polish of the Toda homotopy's ends and of their lifts.  system is the system it solves:
-    a LaurentPotential, whose dW/ds = 0 it solves in log coordinates at
-    log T = at, or any object whose newton_rows(S, rows, at) returns the
-    Newton step at the given rows as _solve_blocks does.  at is one value,
-    or one per row of S, which newton_rows reads at the rows it solves.
+    polish of the Toda homotopy's ends and of their lifts.  system is the
+    system it solves, a LaurentPotential (dW/ds = 0 in log coordinates at
+    log T = at) or a _Homotopy (in t = at): anything with a linearize for
+    _solve_blocks.  at is one value, or one per row of S.
 
     Rows join width at a time, in row order, one stage per iteration (all
-    at once when width is None).  Each iteration evaluates and solves the
-    active rows with system.newton_rows.  Each row runs the iteration it
+    at once when width is None).  Each iteration linearizes and solves the
+    active rows with _solve_blocks.  Each row runs the iteration it
     would run alone: it stops once r <= tol * scale (for a potential,
     max|dW/ds| <= tol * sum|terms|) after at least min_steps steps of its
     own, it fails when its Jacobian (the Hessian) is singular or
@@ -284,7 +283,7 @@ def _newton(system, S, at, tol=NEWTON_TOL, stop=None, width=None, stats=None, ma
         joined += width
         row_steps, widest = row_steps + len(active), max(widest, len(active))
         # one solve for every row: at a converged row the step is its drift
-        step, ok, scale, r = system.newton_rows(S, active, at)
+        step, ok, scale, r = _solve_blocks(system, S, active, at)
         done = (r <= tol * scale) & (age[active] >= min_steps)
         converged[active[done]] = True
         res[active[done]] = r[done] / scale[done]
@@ -408,27 +407,15 @@ class _Homotopy:
         dp = (lead[:n, ::2] * lead[n - 1 :: -1, 1::2]) @ self.dft  # (n, 2, B, n + 1): d/dp_j
         return c, (dp[1:] - dp[0])[..., n - 2 :: -1].transpose(1, 2, 3, 0)
 
-    def _solve(self, Z, rows, t, tangent=False):
-        """At the given rows of Z, each at its own t: the Newton step J^-1 H
-        or, with tangent, the tangent dz/dt = J^-1 (F - gamma G), J the
-        z-Jacobian of H; and where it was solved (_solve_rows)."""
-        t = t[rows, None]
-        (F, G), (dF, dG) = self._toda(Z[rows])
-        J = (1 - t)[..., None] * dF + (t * self.gamma)[..., None] * dG
-        return _solve_rows(J, F - self.gamma * G if tangent else t * self.gamma * G + (1 - t) * F)
-
-    def newton_rows(self, Z, rows, t):
-        """The Newton step at the given rows of Z, for _newton.  Returns
-        (X, ok, scale, r) as _solve_blocks does, but r is the max norm of
-        the step and scale that of the row: the terms of H cancel too
+    def linearize(self, Z, t, tangent=False):
+        """H = 0 at a block of rows Z, each at its own t (a column), for
+        _solve_blocks: J, the z-Jacobian of H, H or, with tangent, F - gamma
+        G, whose solution is dz/dt, and the max norm of each row.  No
+        residual, so _solve_blocks tests the step: the terms of H cancel too
         deeply near clustered points for a test on |H| to place a point."""
-        X, ok = self._solve(Z, rows, t)
-        return X, ok, np.abs(Z[rows]).max(axis=1), np.where(ok, np.abs(X).max(axis=1), np.inf)
-
-    def tangent_rows(self, Z, rows, t):
-        """The tangent dz/dt at the given rows of Z, and where it was
-        solved, for _track."""
-        return self._solve(Z, rows, t, tangent=True)
+        (F, G), (dF, dG) = self._toda(Z)
+        J = (1 - t)[..., None] * dF + (t * self.gamma)[..., None] * dG
+        return J, F - self.gamma * G if tangent else t * self.gamma * G + (1 - t) * F, np.abs(Z).max(axis=1), None
 
 
 def toda_solutions(lam, T, seed=0, stats=None):
@@ -680,9 +667,9 @@ def _track(system, S, at, targets, tol, min_steps, stats):
     """The one path tracker: continue the rows of S, solutions of system
     at the parameter at, through each of targets in turn, and return the
     rows at each, a (len(targets), B, N) array.  The valuations track a
-    LaurentPotential in log T, the Toda homotopy its paths in t.  system
-    has newton_rows, for _newton, and tangent_rows(S, rows, at) -> (X, ok),
-    the tangent dS/dat; both read one parameter per row.
+    LaurentPotential in log T, the Toda homotopy its paths in t.  The
+    tangent dS/dat and the corrector's Newton steps both come from
+    _solve_blocks, which reads system.linearize at one parameter per row.
 
     Each row keeps its own parameter and step h.  The predictor is the
     cubic Hermite through the row's last two accepted points and their
@@ -703,7 +690,7 @@ def _track(system, S, at, targets, tol, min_steps, stats):
     at, h = np.full(len(S), at, targets.dtype), np.full(len(S), TRACK_FIRST_STEP)
     goal = np.zeros(len(S), int)  # the index of each row's next target
     ends = np.empty((len(targets),) + S.shape, complex)
-    dS, ok = system.tangent_rows(S, np.arange(len(S)), at)
+    dS, ok = _solve_blocks(system, S, np.arange(len(S)), at, tangent=True)[:2]
     h[~ok] = 0.0  # a row without a tangent cannot move
     # each row's accepted point before its current one, for the cubic
     at0, S0, dS0 = np.full(len(S), np.nan, targets.dtype), S.copy(), dS.copy()
@@ -737,7 +724,7 @@ def _track(system, S, at, targets, tol, min_steps, stats):
         C, _, converged, _ = _newton(system, predicted, t, tol, maxit=TRACK_MAXIT + 1, min_steps=min_steps)
         moved, corrected = np.abs(predicted - S[active]).max(axis=1), np.abs(C - predicted).max(axis=1)
         good = converged & (corrected <= CORRECTION_RATIO * moved)
-        X, ok = system.tangent_rows(C, np.flatnonzero(good), t)
+        X, ok = _solve_blocks(system, C, np.flatnonzero(good), t, tangent=True)[:2]
         good[good] = ok
         stats["steps"] += len(active)
         stats["rejected"] += int((~good).sum())

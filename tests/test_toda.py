@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -337,6 +338,35 @@ def test_homotopy_step_counts_are_pinned(lam, steps, rejected):
     stats = {}
     toda_solutions(lam, np.exp(-1.0), stats=stats)
     assert (stats["homotopy_steps"], stats["homotopy_rejected"]) == (steps, rejected)
+
+
+def test_homotopy_in_row_blocks_matches_one_block(monkeypatch):
+    # the homotopy's rows do not interact: linearized and solved 7 at a
+    # time, the Newton step and the tangent at n = 4's 24 starts change no
+    # bit, nor do the paths' ends, and the Toda evaluation never sees more
+    # than a block of rows
+    n, lam = 4, [5.0, 2.0, 0.0, -4.0]
+    starts = -np.array(list(permutations(np.exp(2j * np.pi * np.arange(n) / n))))[:, 1:]
+    homotopy = potential._Homotopy(np.exp(np.diff(lam)), np.exp(0.7j))
+    rows, sizes, toda = np.arange(len(starts)), [], potential._Homotopy._toda
+
+    def spy(self, Z):
+        sizes.append(len(Z))
+        return toda(self, Z)
+
+    def solved():
+        ends = toda_solutions(lam, np.exp(-1.0))
+        for t in (0.5, 0.0):
+            for tangent in (False, True):
+                yield from potential._solve_blocks(homotopy, starts, rows, np.full(len(starts), t), tangent)
+        yield ends
+
+    whole = list(solved())
+    monkeypatch.setattr(potential, "ROW_BLOCK", 7)
+    monkeypatch.setattr(potential._Homotopy, "_toda", spy)
+    for a, b in zip(whole, solved(), strict=True):
+        assert np.array_equal(a, b)
+    assert max(sizes) == 7
 
 
 def test_homotopy_gives_up_after_its_gammas(monkeypatch):
