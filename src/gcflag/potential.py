@@ -7,16 +7,17 @@ prod_j Q_j^{-c_j}, where tau = sum_j c_j lambda_{n_j}.  Critical points
 are found at a fixed numeric Novikov parameter T in (0, 1) by damped
 Newton iteration in logarithmic coordinates.  On a full flag its starts
 are the n! points of the Toda level set D = 0 (the Hamiltonians of
-gcflag.toda), from one homotopy (toda_solutions), lifted to the GC chart
-(toda_lift); if that fails at T, it runs at balanced couplings and the
-points are carried back to T.  On a partial flag the starts are a
-deterministic grid (vertices and interior point of the polytope,
-sixth-root phases from random.Random(seed) when the grid is large) that
-joins one phase draw per iteration.  Valuations are estimated by
+gcflag.toda), from one homotopy (toda_solutions) with one gamma, lifted
+to the GC chart (toda_lift); if that homotopy fails at T, the one
+fallback runs it at balanced couplings and carries the points to T.  On
+a partial flag the starts are a deterministic grid (vertices and
+interior point of the polytope, sixth-root phases from
+random.Random(seed) when the grid is large) that joins one phase draw
+per iteration.  Valuations are estimated by
 continuing every branch to small T on _track, the one adaptive
 predictor-corrector (it also carries the Toda homotopy), and fitting the
 slope of log|y_k| against log T.  A real path that fails (a branch
-meets a pole, no homotopy finishes) goes round in complex log T.
+meets a pole, the homotopy at T fails) goes round in complex log T.
 """
 
 import random
@@ -160,7 +161,6 @@ INTERIOR_TOL = -1e-6  # contains_float's tol for a strictly interior valuation: 
 ROW_BLOCK = 256  # _solve_blocks and _same work on at most this many rows at once
 DETOUR = 1.0  # a path that goes round the real axis from log T = a to b passes (a + b) / 2 + i DETOUR
 HOMOTOPY_TOL = 1e-6  # the Toda homotopy's corrector stops for t > 0 at a Newton step this small relative to the point
-HOMOTOPY_GAMMAS = 3  # the Toda homotopy tracks its paths again with a new gamma up to this many times in all
 TORUS_TOL = 1e-11  # toda_lift: an entry whose defining sum cancels to this fraction of its terms is zero
 
 
@@ -429,13 +429,13 @@ def toda_solutions(lam, T, seed=0, stats=None):
     forms of F, reaches each one (Sommese & Wampler, 2005); gamma, a unit
     complex, keeps the paths apart for t in (0, 1].  _track carries the
     paths from t = 1 to 0, its corrector stopping at HOMOTOPY_TOL, and
-    _newton polishes their ends at t = 0 to NEWTON_TOL.
+    _newton polishes their ends at t = 0 to NEWTON_TOL.  The paths are
+    tracked once, with the first gamma that random.Random(seed) draws.
     If a path is lost, or two paths end at one point (_same at the row
-    scale: one jumped onto another), every path is tracked again with the
-    next gamma that random.Random(seed) draws, up to HOMOTOPY_GAMMAS
-    draws; then RuntimeError, and critical_points goes round the real
-    axis to T from balanced couplings.  stats, if a dict, receives paths,
-    and the steps and rejections summed over every path tracked."""
+    scale: one jumped onto another), RuntimeError says which, and
+    critical_points goes round the real axis to T from balanced
+    couplings.  stats, if a dict, receives paths, and the steps and
+    rejections summed over the paths."""
     n = len(lam)
     l = -_log_T(T) * np.asarray(lam, dtype=float)
     # D_i is homogeneous of degree i when p has weight 1 and q weight 2, so
@@ -443,25 +443,21 @@ def toda_solutions(lam, T, seed=0, stats=None):
     # the size of G's roots: with q small they would crowd together near 0
     sigma = np.exp((l[-1] - l[0]) / (2 * (n - 1)))
     starts = -np.array(list(permutations(np.exp(2j * np.pi * np.arange(n) / n))))[:, 1:]
+    homotopy = _Homotopy(np.exp(np.diff(l)) / sigma**2, np.exp(2j * np.pi * random.Random(seed).random()))
     track = dict(steps=0, rejected=0)
-    draw = random.Random(seed).random
-    for _ in range(HOMOTOPY_GAMMAS):
-        homotopy = _Homotopy(np.exp(np.diff(l)) / sigma**2, np.exp(2j * np.pi * draw()))
-        try:
-            # no forced corrector step: at n = 2 the path is constant, and
-            # a step of rounding size would exceed its zero predicted move
-            Z = _track(homotopy, starts, 1.0, (0.0,), HOMOTOPY_TOL, 0, track)[0]
-        except RuntimeError:
-            continue  # a path was lost
-        Z = _newton(homotopy, Z, 0.0, NEWTON_TOL)[0]
-        # at the row scale: a coordinate near 0 would part two copies
-        norm = np.abs(Z).max(axis=1, keepdims=True)
-        meet = _same(Z, Z, norm, norm)
-        np.fill_diagonal(meet, False)
-        if not meet.any():
-            break
-    else:
-        raise RuntimeError("homotopy lost a path, or two paths met, at each of %d gammas" % HOMOTOPY_GAMMAS)
+    try:
+        # no forced corrector step: at n = 2 the path is constant, and a
+        # step of rounding size would exceed its zero predicted move
+        Z = _track(homotopy, starts, 1.0, (0.0,), HOMOTOPY_TOL, 0, track)[0]
+    except RuntimeError as exc:
+        raise RuntimeError("the Toda homotopy at T = %g lost a path in t: %s" % (T, exc)) from None
+    Z = _newton(homotopy, Z, 0.0, NEWTON_TOL)[0]
+    # at the row scale: a coordinate near 0 would part two copies
+    norm = np.abs(Z).max(axis=1, keepdims=True)
+    meet = _same(Z, Z, norm, norm)
+    np.fill_diagonal(meet, False)
+    if meet.any():
+        raise RuntimeError("two paths of the Toda homotopy at T = %g met" % T)
     if stats is not None:
         stats.update(paths=len(Z), homotopy_steps=track["steps"], homotopy_rejected=track["rejected"])
     return sigma * np.concatenate([-Z.sum(axis=1, keepdims=True), Z], axis=1)
@@ -518,15 +514,17 @@ def critical_points(pot, T, seed=0, stats=None):
     picks), lifted to the GC chart (toda_lift).  A point of D = 0
     whose lift has no zero entry is a critical point, and every critical
     point in the torus is one; the others lie outside the torus and are
-    dropped.  If the homotopy fails at T (RuntimeError), or none of its
-    ends lifts into the torus, where the positive real minimum always
-    lies, it runs at T0 = exp(-1 / max gap of lam), where every coupling
-    lies in [1/e, 1), and _track carries the torus points to T round the
-    real axis.  One _newton call polishes the torus points.  The
-    homotopy's ends are distinct, so every row must converge and no two
-    may be one point (_same): points + outside_torus = n! is checked, and
-    RuntimeError says how many rows fail it.  On a partial flag the
-    points are those of grid_critical_points.
+    dropped.  If the homotopy fails at T (RuntimeError: a lost path, or
+    two ends that meet), or none of its ends lifts into the torus, where
+    the positive real minimum always lies, one more homotopy runs at
+    T0 = exp(-1 / max gap of lam), where every coupling lies in
+    [1/e, 1), and _track carries the torus points to T round the real
+    axis; if that one fails too, its RuntimeError names T0.  One _newton
+    call polishes the torus points.  The homotopy's ends are distinct, so
+    every row must converge and no two may be one point (_same): points +
+    outside_torus = n! is checked, and RuntimeError says how many rows
+    fail it.  On a partial flag the points are those of
+    grid_critical_points.
 
     If stats is a dict it receives, on a partial flag, what
     grid_critical_points reports.  On a full flag it receives starts and
@@ -549,8 +547,8 @@ def critical_points(pot, T, seed=0, stats=None):
             # the positive real minimum always lies in the torus
             raise RuntimeError("no end of the homotopy lifts into the torus")
     except RuntimeError:
-        # couplings many orders apart, whose clustered paths no gamma
-        # finishes, or whose ends the lift cannot place
+        # couplings many orders apart, whose clustered paths the
+        # homotopy loses or merges, or whose ends the lift cannot place
         T0 = np.exp(-1 / max(-np.diff(lam)))
         S, inside = toda_lift(toda_solutions(lam, T0, seed=seed, stats=homotopy), lam, T0)
     S = S[inside]

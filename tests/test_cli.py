@@ -199,6 +199,26 @@ def test_lost_branch_is_the_one_line_on_stderr(seed):
     assert len(lines) == 1 and lines[0].startswith("internal error: continuation lost the branch"), res.stderr
 
 
+def test_critical_command_at_5_m5_m6_m7_and_T_0_02_seed_1(capsys):
+    # the homotopy at T fails; the one at T0 finishes, and its 24 points
+    # are carried to T
+    argv = ["critical", "--flag", "1,2,3|4", "--lambda", "5,-5,-6,-7", "--T", "0.02", "--seed", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["critical_count"] == 24 and doc["outside_torus"] == 0
+
+
+def test_failed_homotopy_at_T0_is_the_one_line_on_stderr(capsys, monkeypatch, recwarn):
+    # every path is lost at once, at T and then at T0 = exp(-1/4): the one
+    # error line names the homotopy and the T it last ran at
+    monkeypatch.setattr(gcflag.potential, "TRACK_MIN_STEP", 1.0)
+    code = main(["critical", "--flag", "1,2,3|4", "--lambda", "5,2,0,-4"])
+    assert code == 1 and not recwarn.list
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["internal error: the Toda homotopy at T = 0.778801 lost a path in t: continuation lost the branch of row 0 at 1, step h = 0.5"]
+
+
 def test_critical_command_continues_once(capsys, monkeypatch):
     # the critical points and the positive minimum share one continuation
     calls = []

@@ -369,33 +369,61 @@ def test_homotopy_in_row_blocks_matches_one_block(monkeypatch):
     assert max(sizes) == 7
 
 
-def test_homotopy_gives_up_after_its_gammas(monkeypatch):
-    monkeypatch.setattr(potential, "TRACK_MIN_STEP", 1.0)  # every path is lost at once
-    with pytest.raises(RuntimeError, match="homotopy lost a path, or two paths met, at each of 3 gammas"):
-        toda_solutions((2, 0, -2), np.exp(-1.0))
-
-
-@pytest.mark.parametrize("fault", ["lost", "met"])
-def test_homotopy_tracks_again_with_the_next_gamma(monkeypatch, fault):
-    # a lost path, or two paths that end at one point, send every path
-    # round again with the next gamma of random.Random(seed)
-    lam, T = (5, 2, 0, -4), np.exp(-1.0)
-    want = toda_solutions(lam, T)
+@pytest.mark.parametrize(
+    "fault,message",
+    [("lost", "the Toda homotopy at T = 0.367879 lost a path in t: continuation lost"), ("met", "two paths of the Toda homotopy at T = 0.367879 met")],
+    ids=["lost", "met"],
+)
+def test_homotopy_raises_after_one_track(monkeypatch, fault, message):
+    # one gamma per homotopy: a lost path, or two paths that end at one
+    # point, raise at once after a single _track call and say which
     track, gammas = potential._track, []
 
     def faulty(homotopy, *args):
         gammas.append(homotopy.gamma)
+        if fault == "lost":
+            raise RuntimeError("continuation lost the branch")
         ends = track(homotopy, *args)
-        if len(gammas) == 1:
-            if fault == "lost":
-                raise RuntimeError("continuation lost the branch")
-            ends[0, 1] = ends[0, 0]
+        ends[0, 1] = ends[0, 0]
         return ends
 
     monkeypatch.setattr(potential, "_track", faulty)
-    got = toda_solutions(lam, T)
-    assert len(gammas) == 2 and gammas[0] != gammas[1]
-    assert within(got, want).all() and len(got) == len(want) == 24
+    with pytest.raises(RuntimeError, match=message):
+        toda_solutions((5, 2, 0, -4), np.exp(-1.0))
+    assert len(gammas) == 1
+
+
+@pytest.mark.parametrize("fault", ["lost", "met"])
+def test_failed_homotopy_runs_once_more_at_T0(monkeypatch, fault):
+    # the homotopy at T fails on its first and only gamma: critical_points
+    # runs one more homotopy, at T0 = exp(-1/4), and carries its points
+    # to T, where they are the points of the unforced run
+    pot, T = full_pot((5, 2, 0, -4)), np.exp(-1.0)
+    want = critical_points(pot, T)
+    solve, track, at, tracked = potential.toda_solutions, potential._track, [], []
+
+    def spy(lam, T, **kwargs):
+        at.append(T)
+        return solve(lam, T, **kwargs)
+
+    def faulty(system, *args):
+        first = isinstance(system, potential._Homotopy) and not tracked
+        if isinstance(system, potential._Homotopy):
+            tracked.append(system)
+        if first and fault == "lost":
+            raise RuntimeError("continuation lost the branch")
+        ends = track(system, *args)
+        if first:
+            ends[0, 1] = ends[0, 0]
+        return ends
+
+    monkeypatch.setattr(potential, "toda_solutions", spy)
+    monkeypatch.setattr(potential, "_track", faulty)
+    monkeypatch.setattr(potential, "grid_critical_points", refused)
+    got = critical_points(pot, T)
+    assert at == [T, np.exp(-1 / 4)] and len(tracked) == 2
+    assert len(got) == len(want) == 24
+    assert np.diag(_same(np.array([p.y for p in got]), np.array([p.y for p in want]))).all()
 
 
 def test_level_set_check_runs_on_the_grid_points(monkeypatch):
@@ -417,7 +445,7 @@ def test_full_flag_goes_round_when_the_homotopy_fails_at_T(monkeypatch):
 
     def fails_at_T(lam, at, **kwargs):
         if at == T:
-            raise RuntimeError("homotopy lost a path, or two paths met, at each of 3 gammas")
+            raise RuntimeError("the Toda homotopy at T = 0.367879 lost a path in t")
         return solve(lam, at, **kwargs)
 
     monkeypatch.setattr(potential, "toda_solutions", fails_at_T)
@@ -430,18 +458,19 @@ def test_full_flag_goes_round_when_the_homotopy_fails_at_T(monkeypatch):
 
 
 def test_couplings_far_apart_take_no_grid_at_any_seed(monkeypatch):
-    # (7,5,-6,-7) at T = 0.1: couplings 1e-1 to 1e-11.  At seed 2 no gamma
-    # finishes at T, and the points are carried from T0 = exp(-1/11).  The
-    # points are ill-conditioned here (sigma_min / sigma_max of the Hessian
-    # down to 3.4e-6), so the seeds' sets differ by up to 2.2e-8 relative,
-    # past DEDUP_TOL, with the homotopy at T alone (seeds 0, 1 and 3)
+    # (7,5,-6,-7) at T = 0.1: couplings 1e-1 to 1e-11.  At seeds 0, 1 and
+    # 2 the homotopy at T fails, and the points are carried from T0 =
+    # exp(-1/11); at seed 3 it finishes at T.  The points are
+    # ill-conditioned here (sigma_min / sigma_max of the Hessian down to
+    # 3.4e-6), so the seeds' sets differ by up to 2.2e-8 relative, past
+    # DEDUP_TOL
     monkeypatch.setattr(potential, "grid_critical_points", refused)
     pot, sets = full_pot((7, 5, -6, -7)), []
     for seed in range(4):
         stats = {}
         pts = critical_points(pot, 0.1, seed=seed, stats=stats)
         assert len(pts) == 24 and stats["outside_torus"] == 0
-        assert (stats["carry_steps"] > 0) == (seed == 2)
+        assert (stats["carry_steps"] > 0) == (seed != 3)
         sets.append(np.array([p.y for p in pts]))
     for Y in sets[1:]:
         # each point's distance to the nearest of seed 0's, relative per coordinate
@@ -461,17 +490,20 @@ def test_points_outside_the_torus_at_8_3_1_m4_are_four_at_every_seed():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_homotopy_whose_ends_all_leave_the_torus_goes_round(monkeypatch, seed):
-    # (7,6,5,-8) at T = 0.05: the lift at T puts every end of the homotopy
-    # outside the torus, at seeds 0 and 2, though the positive real minimum
+    # (7,6,5,-8) at T = 0.05: at seed 0 the lift at T puts every end of
+    # the homotopy outside the torus, though the positive real minimum
     # lies in it.  That homotopy has failed, and the points are carried
-    # from T0 as after a lost path
+    # from T0 as after a lost path, which is what happens at seed 2
     lam, T = (7, 6, 5, -8), 0.05
     monkeypatch.setattr(potential, "grid_critical_points", refused)
     stats = {}
     assert len(critical_points(full_pot(lam), T, seed=seed, stats=stats)) == 24
     assert stats["outside_torus"] == 0 and stats["carry_steps"] > 0
-    if seed != 1:
+    if seed == 0:
         assert not toda_lift(toda_solutions(lam, T, seed=seed), lam, T)[1].any()
+    elif seed == 2:
+        with pytest.raises(RuntimeError, match="the Toda homotopy at T = 0.05 lost a path"):
+            toda_solutions(lam, T, seed=seed)
 
 
 def test_toda_route_accounts_for_every_end_at_8_6_m5_m6():
